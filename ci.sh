@@ -37,6 +37,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 echo "==> figure smoke gate (tests/figures_smoke.rs)"
 cargo test -q --test figures_smoke
 
+# The repository benchmark is a package of its own (perfbench/, outside the
+# workspace) compiled against the lab and bench APIs: Scenario::new,
+# experiments::fig05, run_sweep and run_system. Its tests keep it building
+# and check its outputs against the program's own runs.
+echo "==> perfbench tests (perfbench/)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Perf trajectory: a fixed-seed, dynamics-heavy Figure-5-style run. The JSON
 # records events-processed (a deterministic scheduler-efficiency proxy), the
 # heap-allocation count of the run, and the wall-clock seconds of the machine

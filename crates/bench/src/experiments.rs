@@ -2,8 +2,8 @@
 //!
 //! Each function assembles the topology, workload and protocol variants of
 //! the corresponding figure, runs them on the emulator and returns a
-//! [`Figure`] whose series carry the same legends the paper uses. The
-//! `figNN` binaries are thin wrappers around these functions, so integration
+//! [`Figure`] whose series carry the same legends the paper uses. The `lab`
+//! scenario registry runs them by name (`lab run figNN`), and integration
 //! tests and examples can call them directly.
 //!
 //! Default workloads are reduced (≈1/10 of the paper's byte volume, 40
@@ -16,8 +16,8 @@ use dissem_codec::FileSpec;
 use netsim::dynamics::{crash_wave_schedule, cross_traffic_square_wave, flash_crowd_schedule};
 use netsim::units::{mbps, to_mbps};
 use netsim::{
-    run_service, topology, ArrivalGen, ChangeSchedule, NodeEvent, NodeId, ServiceConfig,
-    ServiceReport, SwarmShape, SwarmSource,
+    run_service, topology, ArrivalGen, ChangeSchedule, NodeEvent, NodeId, NodeSample,
+    ServiceConfig, ServiceReport, SwarmShape, SwarmSource, TimeSeries,
 };
 
 use bullet_prime::{
@@ -32,9 +32,10 @@ use crate::bounds;
 use crate::cdf::{improvement_at, Figure, Series};
 use crate::opts::CommonOpts;
 use crate::systems::{
-    cascade_schedule, paper_dynamic_schedule, run_bullet_prime_churn, run_bullet_prime_cross,
-    run_bullet_prime_with, run_concurrent_meshes, run_system, SystemKind,
+    cascade_schedule, collect_times, paper_dynamic_schedule, run_bullet_prime_churn,
+    run_bullet_prime_cross, run_bullet_prime_with, run_concurrent_meshes, run_system, SystemKind,
 };
+use crate::tap::drive;
 
 fn limit(opts: &CommonOpts) -> SimDuration {
     SimDuration::from_secs_f64(opts.time_limit)
@@ -84,11 +85,7 @@ fn overall_comparison(opts: &CommonOpts, dynamic: bool) -> Figure {
     for kind in SystemKind::all() {
         let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
         let run = run_system(kind, topo, file, &rng, &schedule, limit(opts));
-        let mut series = Series::cdf(kind.label(), &run.times);
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+        fig.push(run.cdf(kind.label()));
     }
 
     // Headline numbers the paper quotes in §4.2.
@@ -190,19 +187,7 @@ pub fn fig05ts(opts: &CommonOpts) -> Figure {
     );
     fig.x_label = "time (s)".into();
     fig.y_label = "goodput (Mbps)".into();
-    let to_mbps = |bps: f64| bps / 1e6;
-    fig.push(Series::xy(
-        "mean receiver goodput (Mbps)",
-        series.mean_over_active(1, |n| to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p10 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.10, |n| to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p90 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.90, |n| to_mbps(n.goodput_bps)),
-    ));
+    push_goodput_series(&mut fig, &series);
     fig.push(Series::xy(
         "mean duplicate blocks (%)",
         series.mean_over_active(1, |n| n.duplicate_ratio * 100.0),
@@ -225,6 +210,22 @@ pub fn fig05ts(opts: &CommonOpts) -> Figure {
             .to_string(),
     );
     fig
+}
+
+/// The mean, p10 and p90 receiver goodput (Mbps) over time of a probe
+/// series, receivers only.
+fn push_goodput_series(fig: &mut Figure, series: &TimeSeries) {
+    let mbps = |n: &NodeSample| n.goodput_bps / 1e6;
+    fig.push(Series::xy(
+        "mean receiver goodput (Mbps)",
+        series.mean_over_active(1, mbps),
+    ));
+    for (label, q) in [("p10", 0.10), ("p90", 0.90)] {
+        fig.push(Series::xy(
+            format!("{label} receiver goodput (Mbps)"),
+            series.quantile_over_active(1, q, mbps),
+        ));
+    }
 }
 
 /// Figure 6: impact of the request strategy.
@@ -555,11 +556,7 @@ pub fn fig14(opts: &CommonOpts) -> Figure {
     for kind in SystemKind::all() {
         let topo = topology::planetlab_like(nodes, &rng);
         let run = run_system(kind, topo, file, &rng, &Vec::new(), limit(opts));
-        let mut series = Series::cdf(kind.label(), &run.times);
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+        fig.push(run.cdf(kind.label()));
     }
     let ours = fig.series[0].clone();
     let bt = fig
@@ -605,17 +602,10 @@ pub fn fig16(opts: &CommonOpts) -> Figure {
         let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
         let cfg = Config::new(file);
         let (run, report, _) = run_bullet_prime_churn(topo, &cfg, &rng, &churn, limit(opts));
-        let mut series = Series::cdf(
-            format!(
-                "BulletPrime, {:.0}% crash ({crashed} nodes)",
-                fraction * 100.0
-            ),
-            &run.times,
-        );
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+        fig.push(run.cdf(format!(
+            "BulletPrime, {:.0}% crash ({crashed} nodes)",
+            fraction * 100.0
+        )));
         debug_assert_eq!(
             report.departed.iter().filter(|&&d| d).count(),
             crashed,
@@ -672,28 +662,15 @@ pub fn fig17(opts: &CommonOpts) -> Figure {
             })
             .unwrap_or(0.0)
     };
-    let end = report.end_time.as_secs_f64();
-    let mut unfinished = 0usize;
-    let durations: Vec<f64> = (1..nodes)
-        .map(|i| {
-            let joined = join_time(i);
-            match report.completion_secs[i] {
-                Some(c) => c - joined,
-                None => {
-                    unfinished += 1;
-                    end - joined
-                }
-            }
-        })
-        .collect();
-    let mut series = Series::cdf(
-        format!("BulletPrime, flash crowd ({} join late)", nodes - initial),
-        &durations,
-    );
-    if unfinished > 0 {
-        series.label = format!("{} ({unfinished} unfinished)", series.label);
+    // Late joiners are timed from their join instant.
+    let mut run = collect_times(&report);
+    for (i, t) in run.times.iter_mut().enumerate() {
+        *t -= join_time(i + 1);
     }
-    fig.push(series);
+    fig.push(run.cdf(format!(
+        "BulletPrime, flash crowd ({} join late)",
+        nodes - initial
+    )));
 
     fig.note(format!(
         "all-at-start median {:.1}s vs flash-crowd per-node median {:.1}s (late joiners measured from their join instant)",
@@ -733,21 +710,13 @@ pub fn fig18(opts: &CommonOpts) -> Figure {
     // Baseline: one mesh alone on the shared-core substrate.
     let topo = topology::shared_core_mesh(mesh, core, loss, &rng);
     let (single, _) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), limit(opts));
-    let mut series = Series::cdf("single mesh over the shared core", &single.times);
-    if single.unfinished > 0 {
-        series.label = format!("{} ({} unfinished)", series.label, single.unfinished);
-    }
-    fig.push(series);
+    fig.push(single.cdf("single mesh over the shared core"));
 
     // Two meshes, same substrate, twice the nodes: groups [mesh, mesh].
     let topo = topology::shared_core_mesh(2 * mesh, core, loss, &rng);
     let runs = run_concurrent_meshes(topo, &cfg, &rng, &[mesh, mesh], limit(opts));
     for (run, name) in runs.iter().zip(["mesh A", "mesh B"]) {
-        let mut series = Series::cdf(format!("{name} of two sharing the core"), &run.times);
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+        fig.push(run.cdf(format!("{name} of two sharing the core")));
     }
 
     let single_median = fig.series[0].quantile(0.5);
@@ -813,19 +782,7 @@ pub fn fig19(opts: &CommonOpts) -> Figure {
     );
     fig.x_label = "time (s)".into();
     fig.y_label = "goodput / occupancy (Mbps)".into();
-    let bps_to_mbps = |bps: f64| bps / 1e6;
-    fig.push(Series::xy(
-        "mean receiver goodput (Mbps)",
-        series.mean_over_active(1, |n| bps_to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p10 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.10, |n| bps_to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p90 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.90, |n| bps_to_mbps(n.goodput_bps)),
-    ));
+    push_goodput_series(&mut fig, &series);
     // The wave itself, as a step series clipped to the run.
     let end = report.end_time.as_secs_f64();
     let mut wave = vec![(0.0, 0.0)];
@@ -890,31 +847,15 @@ pub fn fig20(opts: &CommonOpts) -> Figure {
         let cfg = Config::new(file);
         let started = std::time::Instant::now();
         let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-        let report = runner.run(limit(opts));
+        let report = drive(&mut runner, |r| r.run(limit(opts)));
         let wall = started.elapsed().as_secs_f64();
 
-        let end = report.end_time.as_secs_f64();
-        let mut unfinished = 0usize;
-        let times: Vec<f64> = report
-            .completion_secs
-            .iter()
-            .skip(1) // Node 0 is the source.
-            .map(|c| {
-                c.unwrap_or_else(|| {
-                    unfinished += 1;
-                    end
-                })
-            })
-            .collect();
-        let mut series = Series::cdf(format!("BulletPrime, N={n}"), &times);
-        if unfinished > 0 {
-            series.label = format!("{} ({unfinished} unfinished)", series.label);
-        }
-        fig.push(series);
+        let run = collect_times(&report);
+        fig.push(run.cdf(format!("BulletPrime, N={n}")));
         events.push((n as f64, report.events as f64));
         fig.note(format!(
-            "N={n}: {} events, virtual end {end:.1}s, {unfinished} unfinished",
-            report.events
+            "N={n}: {} events, virtual end {:.1}s, {} unfinished",
+            report.events, run.end_time, run.unfinished
         ));
         eprintln!(
             "fig20 N={n}: {} events in {wall:.2}s wall ({:.0} events/s)",

@@ -2,9 +2,12 @@
 //! the paper's evaluation.
 //!
 //! * [`cdf`] — series/figure data structures, CDFs, summary statistics;
-//! * [`opts`] — the tiny shared command-line surface of the `figNN` binaries;
+//! * [`opts`] — the tiny shared figure-option surface of the `lab` CLI;
 //! * [`systems`] — uniform runners for Bullet′, Bullet, BitTorrent and
 //!   SplitStream over a topology and change schedule;
+//! * [`tap`] — the trace tap: every run a figure makes goes through one
+//!   `drive` function, which observes it (trace ring, stats probe,
+//!   profiler) only inside [`tap::capture`] — what `lab trace` uses;
 //! * [`bounds`] — the analytic reference curves of Fig 4;
 //! * [`alloc_track`] — the counting global allocator behind the perf
 //!   records' allocation counts and peak-heap-bytes figures;
@@ -35,11 +38,12 @@ pub mod cdf;
 pub mod experiments;
 pub mod opts;
 pub mod systems;
+pub mod tap;
 pub mod views;
 pub mod warmup;
 
 pub use cdf::{improvement_at, Figure, Series};
-pub use opts::{emit, figure_main, CommonOpts};
+pub use opts::{emit, CommonOpts};
 pub use systems::{
     run_bullet_prime_churn, run_bullet_prime_cross, run_bullet_prime_timeseries,
     run_bullet_prime_with, run_concurrent_meshes, run_system, SystemKind, SystemRun,

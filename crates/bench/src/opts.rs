@@ -1,11 +1,12 @@
-//! Minimal command-line options shared by every figure binary.
+//! Minimal command-line options shared by every figure (`lab run <scenario>`
+//! and the other `lab` subcommands).
 //!
-//! The binaries default to a reduced scale (fewer nodes, a smaller file) so
+//! Figures default to a reduced scale (fewer nodes, a smaller file) so
 //! the entire figure suite runs in minutes; `--full` switches to the paper's
 //! workload sizes. No external argument-parsing crate is used — the option
 //! surface is tiny and fixed.
 
-/// Options accepted by every `figNN` binary.
+/// The figure options every `lab` subcommand accepts.
 #[derive(Debug, Clone)]
 pub struct CommonOpts {
     /// Number of overlay participants (including the source).
@@ -59,18 +60,37 @@ impl CommonOpts {
                     .ok_or_else(|| format!("{name} requires a value\n{USAGE}"))
             };
             match arg.as_str() {
-                "--nodes" => opts.nodes = Some(parse_num(&value_for("--nodes")?)?),
-                "--mb" => opts.file_mb = Some(parse_num(&value_for("--mb")?)?),
-                "--block-kb" => opts.block_kb = Some(parse_num(&value_for("--block-kb")?)?),
-                "--seed" => opts.seed = parse_num(&value_for("--seed")?)?,
-                "--time-limit" => opts.time_limit = parse_num(&value_for("--time-limit")?)?,
-                "--tick" => {
-                    let tick: f64 = parse_num(&value_for("--tick")?)?;
-                    if tick.is_nan() || tick <= 0.0 {
-                        return Err(format!("--tick must be positive, got {tick}\n{USAGE}"));
+                "--nodes" => {
+                    let nodes: usize = parse_num(&value_for("--nodes")?)?;
+                    if nodes < 2 {
+                        return Err(format!(
+                            "--nodes must be at least 2 (a source and a receiver), got {nodes}\n{USAGE}"
+                        ));
                     }
-                    opts.tick = Some(tick);
+                    opts.nodes = Some(nodes);
                 }
+                "--mb" => {
+                    let mb = positive("--mb", &value_for("--mb")?)?;
+                    if mb * 1024.0 * 1024.0 < 1.0 {
+                        return Err(format!("--mb must be at least one byte, got {mb}\n{USAGE}"));
+                    }
+                    opts.file_mb = Some(mb);
+                }
+                "--block-kb" => {
+                    let kb: u32 = parse_num(&value_for("--block-kb")?)?;
+                    if kb == 0 || kb > u32::MAX / 1024 {
+                        return Err(format!(
+                            "--block-kb must be between 1 and {}, got {kb}\n{USAGE}",
+                            u32::MAX / 1024
+                        ));
+                    }
+                    opts.block_kb = Some(kb);
+                }
+                "--seed" => opts.seed = parse_num(&value_for("--seed")?)?,
+                "--time-limit" => {
+                    opts.time_limit = positive("--time-limit", &value_for("--time-limit")?)?;
+                }
+                "--tick" => opts.tick = Some(positive("--tick", &value_for("--tick")?)?),
                 "--json" => opts.json = Some(value_for("--json")?),
                 "--full" => opts.full = true,
                 "--raw" => opts.raw = true,
@@ -79,17 +99,6 @@ impl CommonOpts {
             }
         }
         Ok(opts)
-    }
-
-    /// Parses from the process arguments, exiting with a usage message on error.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// Node count to use given a reduced default and the paper's value.
@@ -113,7 +122,7 @@ impl CommonOpts {
     }
 }
 
-const USAGE: &str = "usage: figNN [--nodes N] [--mb M] [--block-kb K] [--seed S] \
+const USAGE: &str = "usage: lab run <scenario> [--nodes N] [--mb M] [--block-kb K] [--seed S] \
 [--time-limit SECS] [--tick SECS] [--full] [--raw] [--json PATH]";
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
@@ -121,13 +130,17 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
         .map_err(|_| format!("could not parse '{s}'\n{USAGE}"))
 }
 
-/// The whole of a figure binary: parse the shared options from the process
-/// arguments, build the figure, emit it. Every `figNN` binary is a one-line
-/// wrapper around this (via the `bullet_lab` scenario registry), so the
-/// argument surface and output handling cannot drift between figures.
-pub fn figure_main(figure: impl FnOnce(&CommonOpts) -> crate::cdf::Figure) {
-    let opts = CommonOpts::from_env();
-    emit(&figure(&opts), &opts);
+/// Parses a strictly positive, finite float: sizes and durations outside
+/// that range are usage errors, not panics or NaN tables downstream.
+fn positive(name: &str, s: &str) -> Result<f64, String> {
+    let v: f64 = parse_num(s)?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(format!(
+            "{name} must be positive and finite, got {v}\n{USAGE}"
+        ))
+    }
 }
 
 /// Writes a figure to stdout and optionally to a JSON file, honouring the
@@ -201,5 +214,26 @@ mod tests {
         assert!(parse(&["--tick", "0"]).is_err());
         assert!(parse(&["--tick", "-1"]).is_err());
         assert!(parse(&["--tick", "NaN"]).is_err());
+        assert!(parse(&["--tick", "inf"]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_sizes_and_limits_are_usage_errors() {
+        // Each of these used to reach a panic (topology or file layout) or
+        // a table of NaNs instead of a usage message.
+        let bad = "--nodes 0,--nodes 1,--mb 0,--mb -1,--mb NaN,--mb inf,--mb 1e-9,--block-kb 0,\
+                   --block-kb 4194304,--time-limit 0,--time-limit -5,--time-limit NaN,--time-limit inf";
+        for args in bad.split(',') {
+            let args: Vec<&str> = args.split(' ').collect();
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains(args[0]), "{args:?}: {err}");
+            assert!(err.contains("usage:"), "{args:?}: {err}");
+        }
+        // The smallest valid values still parse.
+        let args = "--nodes 2 --mb 0.001 --block-kb 1 --time-limit 0.5";
+        let o = parse(&args.split(' ').collect::<Vec<_>>()).unwrap();
+        assert_eq!(o.nodes, Some(2));
+        assert_eq!(o.block_kb, Some(1));
+        assert_eq!(o.time_limit, 0.5);
     }
 }

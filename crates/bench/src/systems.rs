@@ -4,13 +4,17 @@
 //! optional bandwidth-change schedule) and collect per-receiver completion
 //! times. These helpers keep the per-figure code declarative.
 
-use baselines::{bittorrent, bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
+use baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
 use bullet_prime::{BulletPrimeNode, Config};
-use desim::{RngFactory, SimDuration, SimTime};
+use desim::{RngFactory, SimDuration};
 use dissem_codec::FileSpec;
 use netsim::{
-    ChangeSchedule, CrossSchedule, Network, NodeEvent, NodeId, NodeSchedule, Runner, Topology,
+    ChangeSchedule, CrossSchedule, Network, NodeEvent, NodeId, NodeSchedule, Protocol, RunReport,
+    Runner, Topology,
 };
+
+use crate::cdf::Series;
+use crate::tap::drive;
 
 /// The systems compared in Figs 4, 5 and 14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +63,24 @@ pub struct SystemRun {
     pub end_time: f64,
 }
 
-fn collect_times(report: &netsim::RunReport) -> SystemRun {
-    let end = report.end_time.as_secs_f64();
+impl SystemRun {
+    /// The receivers' completion-time CDF, its label marking any receivers
+    /// left unfinished.
+    pub fn cdf(&self, label: impl Into<String>) -> Series {
+        let mut series = Series::cdf(label, &self.times);
+        if self.unfinished > 0 {
+            series.label = format!("{} ({} unfinished)", series.label, self.unfinished);
+        }
+        series
+    }
+}
+
+/// Timing summary of receiver completions (`None` = unfinished, reported
+/// at the run's `end`).
+fn summarize_times(completions: impl Iterator<Item = Option<f64>>, end: f64) -> SystemRun {
     let mut unfinished = 0;
-    let times = report
-        .completion_secs
-        .iter()
-        .enumerate()
-        .skip(1) // Node 0 is the source in every system.
-        .map(|(_, c)| {
+    let times = completions
+        .map(|c| {
             c.unwrap_or_else(|| {
                 unfinished += 1;
                 end
@@ -81,36 +94,39 @@ fn collect_times(report: &netsim::RunReport) -> SystemRun {
     }
 }
 
-fn apply_schedule<P: netsim::Protocol>(runner: &mut Runner<P>, schedule: &ChangeSchedule) {
-    for (at, batch) in schedule {
-        runner.schedule_link_change(*at, batch.clone());
-    }
+/// The timing summary of a run's receivers: every node but node 0, the
+/// source in every system.
+pub fn collect_times(report: &RunReport) -> SystemRun {
+    summarize_times(
+        report.completion_secs.iter().skip(1).copied(),
+        report.end_time.as_secs_f64(),
+    )
 }
 
 /// Like [`collect_times`], but for churn runs: receivers that left or
 /// crashed are excluded from the timing series (they can never finish), so
 /// the CDF describes the *survivors*.
-fn collect_survivor_times(report: &netsim::RunReport) -> SystemRun {
-    let end = report.end_time.as_secs_f64();
-    let mut unfinished = 0;
-    let times = report
+fn collect_survivor_times(report: &RunReport) -> SystemRun {
+    let survivors = report
         .completion_secs
         .iter()
-        .zip(report.departed.iter())
+        .zip(&report.departed)
         .skip(1) // Node 0 is the source.
         .filter(|(_, &departed)| !departed)
-        .map(|(c, _)| {
-            c.unwrap_or_else(|| {
-                unfinished += 1;
-                end
-            })
-        })
-        .collect();
-    SystemRun {
-        times,
-        unfinished,
-        end_time: end,
+        .map(|(c, _)| *c);
+    summarize_times(survivors, report.end_time.as_secs_f64())
+}
+
+/// Schedules `schedule`'s link changes and runs to `limit`.
+fn run_to<P: Protocol>(
+    runner: &mut Runner<P>,
+    schedule: &ChangeSchedule,
+    limit: SimDuration,
+) -> RunReport {
+    for (at, batch) in schedule {
+        runner.schedule_link_change(*at, batch.clone());
     }
+    drive(runner, |r| r.run(limit))
 }
 
 /// Runs Bullet′ under a node-lifecycle (churn) schedule: nodes named in
@@ -124,7 +140,7 @@ pub fn run_bullet_prime_churn(
     rng: &RngFactory,
     churn: &NodeSchedule,
     limit: SimDuration,
-) -> (SystemRun, netsim::RunReport, Vec<BulletPrimeNode>) {
+) -> (SystemRun, RunReport, Vec<BulletPrimeNode>) {
     let mut runner = bullet_prime::build_runner(topo, cfg, rng);
     for (at, event) in churn {
         if let NodeEvent::Join(node) = event {
@@ -132,7 +148,7 @@ pub fn run_bullet_prime_churn(
         }
         runner.schedule_node_event(*at, *event);
     }
-    let report = runner.run(limit);
+    let report = drive(&mut runner, |r| r.run(limit));
     (collect_survivor_times(&report), report, runner.into_nodes())
 }
 
@@ -148,11 +164,10 @@ pub fn run_bullet_prime_timeseries(
     schedule: &ChangeSchedule,
     limit: SimDuration,
     tick: SimDuration,
-) -> (SystemRun, netsim::RunReport, Vec<BulletPrimeNode>) {
+) -> (SystemRun, RunReport, Vec<BulletPrimeNode>) {
     let mut runner = bullet_prime::build_runner(topo, cfg, rng);
-    apply_schedule(&mut runner, schedule);
     runner.record_timeseries(tick);
-    let report = runner.run(limit);
+    let report = run_to(&mut runner, schedule, limit);
     (collect_times(&report), report, runner.into_nodes())
 }
 
@@ -169,30 +184,18 @@ pub fn run_concurrent_meshes(
     limit: SimDuration,
 ) -> Vec<SystemRun> {
     let mut runner = bullet_prime::build_group_runner(topo, cfg, rng, group_sizes);
-    let report = runner.run(limit);
+    let report = drive(&mut runner, |r| r.run(limit));
     let end = report.end_time.as_secs_f64();
-    let mut out = Vec::with_capacity(group_sizes.len());
     let mut base = 0usize;
-    for &size in group_sizes {
-        let mut unfinished = 0;
-        let times: Vec<f64> = report.completion_secs[base..base + size]
-            .iter()
-            .skip(1) // Each group's first node is its source.
-            .map(|c| {
-                c.unwrap_or_else(|| {
-                    unfinished += 1;
-                    end
-                })
-            })
-            .collect();
-        out.push(SystemRun {
-            times,
-            unfinished,
-            end_time: end,
-        });
-        base += size;
-    }
-    out
+    group_sizes
+        .iter()
+        .map(|&size| {
+            let group = &report.completion_secs[base..base + size];
+            base += size;
+            // Each group's first node is its source.
+            summarize_times(group.iter().skip(1).copied(), end)
+        })
+        .collect()
 }
 
 /// Runs Bullet′ under a cross-traffic schedule with a run-time stats probe
@@ -206,13 +209,13 @@ pub fn run_bullet_prime_cross(
     cross: &CrossSchedule,
     limit: SimDuration,
     tick: SimDuration,
-) -> (SystemRun, netsim::RunReport, Vec<BulletPrimeNode>) {
+) -> (SystemRun, RunReport, Vec<BulletPrimeNode>) {
     let mut runner = bullet_prime::build_runner(topo, cfg, rng);
     for &(at, change) in cross {
         runner.schedule_cross_traffic(at, change);
     }
     runner.record_timeseries(tick);
-    let report = runner.run(limit);
+    let report = drive(&mut runner, |r| r.run(limit));
     (collect_times(&report), report, runner.into_nodes())
 }
 
@@ -226,8 +229,7 @@ pub fn run_bullet_prime_with(
     limit: SimDuration,
 ) -> (SystemRun, Vec<BulletPrimeNode>) {
     let mut runner = bullet_prime::build_runner(topo, cfg, rng);
-    apply_schedule(&mut runner, schedule);
-    let report = runner.run(limit);
+    let report = run_to(&mut runner, schedule, limit);
     (collect_times(&report), runner.into_nodes())
 }
 
@@ -242,46 +244,35 @@ pub fn run_system(
 ) -> SystemRun {
     match kind {
         SystemKind::BulletPrime => {
-            let cfg = Config::new(file);
-            run_bullet_prime_with(topo, &cfg, rng, schedule, limit).0
+            run_bullet_prime_with(topo, &Config::new(file), rng, schedule, limit).0
         }
         SystemKind::BulletOriginal => {
             let mut runner = bullet_orig::build_runner(topo, file, rng);
-            apply_schedule(&mut runner, schedule);
-            collect_times(&runner.run(limit))
+            collect_times(&run_to(&mut runner, schedule, limit))
         }
         SystemKind::BitTorrent => {
-            let cfg = BitTorrentConfig::new(file);
-            let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
-                .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-                .collect();
-            let mut runner = Runner::new(Network::new(topo), nodes, rng);
-            runner.exempt_from_completion(NodeId(0));
-            apply_schedule(&mut runner, schedule);
-            collect_times(&runner.run(limit))
+            let mut runner = bittorrent_runner(topo, &BitTorrentConfig::new(file), rng);
+            collect_times(&run_to(&mut runner, schedule, limit))
         }
         SystemKind::SplitStream => {
             let mut runner = splitstream::build_runner(topo, file, rng);
-            apply_schedule(&mut runner, schedule);
-            collect_times(&runner.run(limit))
+            collect_times(&run_to(&mut runner, schedule, limit))
         }
     }
 }
 
-/// Convenience for BitTorrent-only callers needing node access.
-pub fn run_bittorrent(
+/// A BitTorrent swarm with node 0 as the seeding source.
+fn bittorrent_runner(
     topo: Topology,
-    cfg: &bittorrent::BitTorrentConfig,
+    cfg: &BitTorrentConfig,
     rng: &RngFactory,
-    limit: SimDuration,
-) -> (SystemRun, Vec<BitTorrentNode>) {
+) -> Runner<BitTorrentNode> {
     let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
         .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
         .collect();
     let mut runner = Runner::new(Network::new(topo), nodes, rng);
     runner.exempt_from_completion(NodeId(0));
-    let report = runner.run(limit);
-    (collect_times(&report), runner.into_nodes())
+    runner
 }
 
 /// Builds the bandwidth-change schedule of §4.1 for a run of `nodes`
@@ -306,11 +297,6 @@ pub fn cascade_schedule(fast_nodes: usize, period_secs: f64) -> ChangeSchedule {
         victim,
         SimDuration::from_secs_f64(period_secs),
     )
-}
-
-/// A helper for bounding runs to an absolute virtual time.
-pub fn limit_secs(secs: f64) -> SimDuration {
-    SimTime::from_secs_f64(secs) - SimTime::ZERO
 }
 
 #[cfg(test)]

@@ -21,10 +21,12 @@
 use bullet_prime::{BulletPrimeNode, Config};
 use desim::{RngFactory, SimDuration, SimTime};
 use dissem_codec::FileSpec;
-use netsim::{topology, ChangeSchedule, Runner, Snapshot};
+use netsim::{topology, ChangeSchedule, RunReport, Runner, Snapshot};
 
 use crate::cdf::{Figure, Series};
 use crate::opts::CommonOpts;
+use crate::systems::collect_times;
+use crate::tap::drive;
 
 /// Virtual seconds of shared warm-up before the `fig05w` variants diverge.
 /// Every variant's first bandwidth change is scheduled strictly after this
@@ -110,13 +112,8 @@ pub fn fig05w_prefix(opts: &CommonOpts) -> WarmPrefix {
 /// options and label.
 pub fn fig05w_fork(prefix: &WarmPrefix, opts: &CommonOpts, label: &str) -> Figure {
     let nodes = opts.nodes_or(20, 100);
-    let rng = RngFactory::new(opts.seed);
     let mut runner = Runner::resume(prefix.snap.clone());
-    for (at, batch) in variant_schedule(label, nodes, opts, &rng) {
-        runner.schedule_link_change(at, batch);
-    }
-    let report = runner.run_until(SimTime::from_secs_f64(opts.time_limit));
-    figure(label, nodes, &report)
+    figure(label, nodes, &run_variant(&mut runner, label, nodes, opts))
 }
 
 /// Runs one `fig05w` cell uninterrupted from t = 0 — the sharing-off oracle.
@@ -125,32 +122,33 @@ pub fn fig05w_fork(prefix: &WarmPrefix, opts: &CommonOpts, label: &str) -> Figur
 /// schedules them, and the run continues to the time limit in one runner.
 pub fn fig05w_fresh(opts: &CommonOpts, label: &str) -> Figure {
     let (mut runner, nodes) = build(opts);
+    let report = drive(&mut runner, |runner| {
+        runner.advance_until(SimTime::from_secs_f64(FIG05W_WARMUP_SECS));
+        run_variant(runner, label, nodes, opts)
+    });
+    figure(label, nodes, &report)
+}
+
+/// The post-split stage both paths share: schedules `label`'s dynamics at
+/// the quiescent split instant and runs to the time limit.
+fn run_variant(
+    runner: &mut Runner<BulletPrimeNode>,
+    label: &str,
+    nodes: usize,
+    opts: &CommonOpts,
+) -> RunReport {
     let rng = RngFactory::new(opts.seed);
-    runner.advance_until(SimTime::from_secs_f64(FIG05W_WARMUP_SECS));
     for (at, batch) in variant_schedule(label, nodes, opts, &rng) {
         runner.schedule_link_change(at, batch);
     }
-    let report = runner.run_until(SimTime::from_secs_f64(opts.time_limit));
-    figure(label, nodes, &report)
+    runner.run_until(SimTime::from_secs_f64(opts.time_limit))
 }
 
 /// Renders one variant's report: the receivers' download-time CDF plus the
 /// mean-goodput-over-time curve from the probe series (which spans the whole
 /// run, warm-up included, on both the forked and the fresh path).
-fn figure(label: &str, nodes: usize, report: &netsim::RunReport) -> Figure {
-    let end = report.end_time.as_secs_f64();
-    let mut unfinished = 0usize;
-    let times: Vec<f64> = report
-        .completion_secs
-        .iter()
-        .skip(1) // Node 0 is the source.
-        .map(|c| {
-            c.unwrap_or_else(|| {
-                unfinished += 1;
-                end
-            })
-        })
-        .collect();
+fn figure(label: &str, nodes: usize, report: &RunReport) -> Figure {
+    let run = collect_times(report);
     let mut fig = Figure::new(
         "Figure 5w",
         format!(
@@ -158,11 +156,7 @@ fn figure(label: &str, nodes: usize, report: &netsim::RunReport) -> Figure {
              {FIG05W_WARMUP_SECS:.0} s warm-up ({nodes} nodes)"
         ),
     );
-    let mut cdf = Series::cdf(format!("BulletPrime [{label}]"), &times);
-    if unfinished > 0 {
-        cdf.label = format!("{} ({unfinished} unfinished)", cdf.label);
-    }
-    fig.push(cdf);
+    fig.push(run.cdf(format!("BulletPrime [{label}]")));
     if let Some(series) = &report.timeseries {
         fig.push(Series::xy(
             "mean receiver goodput (Mbps)",

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lab list                         # every registered scenario, one per line
-//! lab run <scenario> [fig opts]    # one run, same options as the figNN binaries
+//! lab run <scenario> [fig opts]    # one run of the scenario's figure
 //! lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K]
 //!                      [--json PATH] [fig opts]
 //! lab bench <scenario> [--threads N,M,..] [--seed-count K]
@@ -19,9 +19,10 @@
 //!                                   # generator-driven swarm arrivals, one
 //!                                   # ServiceReport per cell (see `serve`)
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N]
-//!                      [fig opts]   # one traced + profiled run, per-kind
-//!                                   # summary, JSONL export, probe replay
-//!                                   # cross-check (see `trace_cmd`)
+//!                      [fig opts]   # every run of `lab run`, traced and
+//!                                   # profiled: per-run summary, JSONL
+//!                                   # export, probe replay cross-check
+//!                                   # (see `trace_cmd`)
 //! ```
 //!
 //! `[fig opts]` are the shared figure options (`--nodes`, `--mb`, `--seed`,
@@ -36,7 +37,7 @@ use crate::registry::Registry;
 
 pub(crate) const USAGE: &str = "usage: lab <list|run|sweep|bench|serve|trace> [scenario] [options]
   lab list
-  lab run <scenario> [figure options; see any figNN --help]
+  lab run <scenario> [figure options; see lab run <scenario> --help]
   lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K] [--json PATH] [figure options]
   lab bench <scenario> [--threads N,M,..] [--seed-count K] [--snapshot SCENARIO] [--out PATH] [figure options]
   lab serve <scenario> [--threads N,M,..] [--json PATH] [figure options]
@@ -486,17 +487,6 @@ fn bench_snapshot(
         shared_wall_clock_secs: round(shared_wall),
         fresh_wall_clock_secs: round(fresh_wall),
     })
-}
-
-/// The whole of a `figNN` binary: resolve `name` in the standard registry
-/// and behave exactly like `lab run <name>` (options from the process
-/// arguments). Exits the process on unknown options.
-pub fn figure_binary_main(name: &str) {
-    let registry = Registry::standard();
-    let scenario = registry
-        .get(name)
-        .unwrap_or_else(|| unreachable!("figure binaries are generated from registry names"));
-    bullet_bench::figure_main(|opts| scenario.run(opts));
 }
 
 #[cfg(test)]

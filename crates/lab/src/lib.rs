@@ -18,15 +18,15 @@
 //!   runner (`netsim::snapshot`), and forks every cell from the snapshot —
 //!   same canonical bytes, less wall clock;
 //! * [`cli`] — the `lab` binary (`list` / `run` / `sweep` / `bench` /
-//!   `serve` / `trace`) and the one-line `figNN` wrapper entry point;
+//!   `serve` / `trace`);
 //! * [`serve`] — the `lab serve` subcommand: open-system service runs
 //!   (fig21/fig22) driven by `netsim::service`'s generator-admitted swarms,
 //!   reported as sustained goodput and per-cohort completion percentiles
 //!   (see `docs/SERVICE_MODE.md`);
-//! * [`trace_cmd`] — the `lab trace` subcommand: one scenario run with the
-//!   structured trace sink, stats probe and virtual-time profiler enabled,
-//!   per-kind summary, JSONL export and the probe replay cross-check (see
-//!   `docs/OBSERVABILITY.md`).
+//! * [`trace_cmd`] — the `lab trace` subcommand: every run of a scenario,
+//!   exactly as `lab run` makes it, with the structured trace sink, stats
+//!   probe and virtual-time profiler enabled; per-run summary, JSONL export
+//!   and the probe replay cross-check (see `docs/OBSERVABILITY.md`).
 //!
 //! The experiment bodies themselves stay in `bullet_bench::experiments`;
 //! run-time observation (goodput-over-time and friends) comes from
@@ -39,11 +39,11 @@ pub mod scenario;
 pub mod serve;
 pub mod trace_cmd;
 
-pub use cli::{figure_binary_main, lab_main};
+pub use cli::lab_main;
 pub use executor::{run_indexed, run_sweep, run_sweep_with, CellReport, SweepReport};
 pub use registry::Registry;
 pub use scenario::{
     DynamicsKind, ParamPoint, Scenario, SeedPlan, SweepSpec, SystemSet, TopologyKind, Warmup,
 };
 pub use serve::{run_serve, ServeCell, ServeRun};
-pub use trace_cmd::{check_replay, traced_run, TracedRun};
+pub use trace_cmd::{check_replay, replay_is_strict, traced_runs};

@@ -1,8 +1,7 @@
 //! The scenario registry: every experiment of the evaluation grid by name.
 //!
 //! The registry is the single source of truth for what can be run: the `lab`
-//! CLI lists and resolves scenarios here, and each `figNN` binary is a
-//! one-line wrapper over its registry entry (equivalent to `lab run <name>`).
+//! CLI lists and resolves scenarios here (`lab run <name>`).
 
 use bullet_bench::{experiments, warmup};
 

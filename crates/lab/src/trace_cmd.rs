@@ -1,69 +1,47 @@
-//! The `lab trace` subcommand: one scenario's Bullet′ workload run with the
-//! full observability stack on — structured trace sink, stats probe and the
-//! virtual-time profiler — followed by the analyzer pass.
+//! The `lab trace` subcommand: a scenario run exactly as `lab run` runs it,
+//! with the full observability stack on — structured trace sink, stats probe
+//! and the virtual-time profiler — followed by the analyzer pass.
 //!
 //! ```text
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] [figure options]
 //! ```
 //!
-//! The run collects every [`TraceRecord`] in a bounded ring (`--ring`, a
-//! memory cap: on overflow the *oldest* records drop, exactly like the
-//! runner-side [`RingSink`]), prints the per-kind summary and the profiler's
-//! wall-clock attribution, optionally writes the stream as JSONL (`--json`,
-//! filtered to one record kind with `--kind`), and then **cross-checks the
-//! trace against the probe**: [`replay_goodput`] rebuilds the per-node
-//! goodput series from nothing but `block_received` and `probe_tick` records
-//! and must reproduce the live [`StatsProbe`](netsim::StatsProbe) series
-//! bit-for-bit. A complete trace that cannot replay the probe means the
-//! instrumentation lies, so the mismatch is a hard error (for rings that
-//! overflowed, or churn dynamics that reset cumulative counters, it degrades
-//! to a warning).
+//! The scenario runs under [`bullet_bench::tap::capture`], so **every run**
+//! its figure makes is traced, in build order: fig05's four systems, fig12's
+//! four outstanding-request windows, fig16's churn-free calibration run and
+//! its three crash waves. Each run collects its [`TraceRecord`]s in a ring of
+//! its own (`--ring` caps each run: on overflow the *oldest* records drop,
+//! exactly like [`netsim::RingSink`]). For each run the analyzer prints the
+//! receivers' completion times, the per-kind summary and the profiler's
+//! wall-clock attribution, and then **cross-checks the trace against the
+//! probe**: [`replay_goodput`] rebuilds the per-node goodput series from
+//! nothing but `block_received` and `probe_tick` records and must reproduce
+//! the live [`StatsProbe`](netsim::StatsProbe) series bit-for-bit. A complete
+//! trace that cannot replay the probe means the instrumentation lies, so the
+//! mismatch is a hard error — unless the run's ring overflowed or it saw
+//! node-lifecycle records (churn resets cumulative counters the replay
+//! cannot see), where it degrades to a note. `--json` writes every run's
+//! stream as JSONL, each line tagged with its `run` index.
 //!
-//! Only scenarios with a Bullet′ runner are traceable; the Shotgun tool
-//! (`fig15`) is rejected. The traced workload mirrors the scenario's reduced
-//! figure workload (same topology family, dynamics, file and block sizes),
-//! not the full multi-system comparison — tracing all four systems at once
-//! would interleave four unrelated streams.
+//! Open-system service scenarios (`fig21`, `fig22`) and the Shotgun tool
+//! (`fig15`) are rejected.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use bullet_bench::systems::{cascade_schedule, paper_dynamic_schedule};
-use bullet_bench::CommonOpts;
-use bullet_prime::Config;
-use desim::{RngFactory, SimDuration, SimTime};
-use dissem_codec::FileSpec;
-use netsim::dynamics::{crash_wave_schedule, cross_traffic_square_wave, flash_crowd_schedule};
-use netsim::{
-    mbps, replay_goodput, summarize, topology, NodeEvent, NodeId, ProfileReport, RingSink,
-    RunReport, TimeSeries, Topology, TraceRecord, TraceSink,
-};
+use bullet_bench::systems::collect_times;
+use bullet_bench::tap::{capture, CapturedRun};
+use bullet_bench::{experiments, CommonOpts};
+use desim::SimDuration;
+use netsim::{replay_goodput, summarize, TimeSeries, TraceRecord};
 
 use crate::registry::Registry;
-use crate::scenario::{DynamicsKind, Scenario, SystemSet, TopologyKind};
+use crate::scenario::{Scenario, SystemSet};
 
 const USAGE: &str = "usage: lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] \
 [figure options]";
 
 /// Every record kind the trace vocabulary emits (`--kind` is validated
 /// against this list so a typo is a usage error, not an empty filter).
-const KINDS: &[&str] = &[
-    "msg",
-    "timer",
-    "block_sent",
-    "block_received",
-    "conn_schedule",
-    "conn_cancel",
-    "solver",
-    "node_join",
-    "node_leave",
-    "node_crash",
-    "node_retire",
-    "link_change",
-    "cross_change",
-    "probe_tick",
-    "snapshot_resume",
-];
+const KINDS: &str = "msg timer block_sent block_received conn_schedule conn_cancel solver \
+node_join node_leave node_crash node_retire link_change cross_change probe_tick snapshot_resume";
 
 /// Default ring capacity: comfortably above any reduced-scale run's record
 /// count, bounded so a `--full` trace cannot exhaust memory.
@@ -79,20 +57,14 @@ struct TraceArgs {
     rest: Vec<String>,
 }
 
-impl Default for TraceArgs {
-    fn default() -> Self {
-        TraceArgs {
-            json: None,
-            ring: DEFAULT_RING,
-            kind: None,
-            tail: 0,
-            rest: Vec::new(),
-        }
-    }
-}
-
 fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
-    let mut out = TraceArgs::default();
+    let mut out = TraceArgs {
+        json: None,
+        ring: DEFAULT_RING,
+        kind: None,
+        tail: 0,
+        rest: Vec::new(),
+    };
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let mut value_for = |name: &str| -> Result<String, String> {
@@ -111,10 +83,10 @@ fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
             }
             "--kind" => {
                 let kind = value_for("--kind")?;
-                if !KINDS.contains(&kind.as_str()) {
+                if !KINDS.split(' ').any(|k| k == kind) {
                     return Err(format!(
                         "unknown record kind '{kind}'; one of: {}\n{USAGE}",
-                        KINDS.join(", ")
+                        KINDS.replace(' ', ", ")
                     ));
                 }
                 out.kind = Some(kind);
@@ -130,222 +102,55 @@ fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
     Ok(out)
 }
 
-/// A [`TraceSink`] forwarding into a shared ring, so the CLI gets the records
-/// back after the runner (which owns the boxed sink) is dropped.
-struct SharedSink {
-    ring: Rc<RefCell<RingSink>>,
-}
-
-impl TraceSink for SharedSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.ring.borrow_mut().record(rec);
-    }
-
-    fn recorded(&self) -> u64 {
-        self.ring.borrow().recorded()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.ring.borrow().dropped()
-    }
-}
-
-/// The traced Bullet′ workload of a scenario: the topology family and file
-/// shape of its reduced figure workload (see `bullet_bench::experiments`),
-/// overridable through the usual figure options.
-fn build_workload(kind: TopologyKind, opts: &CommonOpts, rng: &RngFactory) -> (Topology, FileSpec) {
-    match kind {
-        TopologyKind::ModelNetMesh => {
-            let n = opts.nodes_or(40, 100);
-            let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-            (topology::modelnet_mesh(n, 0.03, rng), file)
-        }
-        TopologyKind::ConstrainedAccess => {
-            let n = opts.nodes_or(40, 100);
-            let file = FileSpec::new(opts.file_bytes_or(4.0, 10.0), opts.block_bytes_or(16));
-            (topology::constrained_access(n), file)
-        }
-        TopologyKind::HighBdpClique => {
-            let n = opts.nodes.unwrap_or(25);
-            let file = FileSpec::new(opts.file_bytes_or(8.0, 100.0), opts.block_bytes_or(8));
-            (topology::high_bdp_clique(n, 0.0, rng), file)
-        }
-        TopologyKind::Cascade => {
-            // Source + 6 fast peers + the victim, as in fig12.
-            let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(8));
-            (topology::cascade_topology(7), file)
-        }
-        TopologyKind::PlanetLabLike => {
-            let n = opts.nodes_or(41, 41);
-            let file = FileSpec::new(opts.file_bytes_or(10.0, 50.0), opts.block_bytes_or(100));
-            (topology::planetlab_like(n, rng), file)
-        }
-        TopologyKind::SharedCore => {
-            let n = opts.nodes_or(16, 32);
-            let file = FileSpec::new(opts.file_bytes_or(4.0, 20.0), opts.block_bytes_or(16));
-            (topology::shared_core_mesh(n, mbps(4.0), 0.0, rng), file)
-        }
-        TopologyKind::UniformSwarm => {
-            let n = opts.nodes_or(1_000, 10_000);
-            let file = FileSpec::new(opts.file_bytes_or(2.0, 2.0), opts.block_bytes_or(16));
-            (topology::uniform_swarm(n, rng), file)
-        }
-    }
-}
-
-/// Median completion time of the dynamics-free run — the churn scenarios
-/// calibrate their crash/join windows off it exactly like fig16/fig17, so
-/// "mid-transfer" stays mid-transfer at every workload scale.
-fn clean_median(kind: TopologyKind, opts: &CommonOpts, rng: &RngFactory) -> f64 {
-    let (topo, file) = build_workload(kind, opts, rng);
-    let cfg = Config::new(file);
-    let mut runner = bullet_prime::build_runner(topo, &cfg, rng);
-    let report = runner.run(SimDuration::from_secs_f64(opts.time_limit));
-    let end = report.end_time.as_secs_f64();
-    let mut times: Vec<f64> = report
-        .completion_secs
-        .iter()
-        .skip(1) // Node 0 is the source.
-        .map(|c| c.unwrap_or(end))
-        .collect();
-    times.sort_by(f64::total_cmp);
-    if times.is_empty() {
-        end
-    } else {
-        times[times.len() / 2]
-    }
-}
-
-/// The result of one traced scenario run, records included.
-#[derive(Debug)]
-pub struct TracedRun {
-    /// The run's report (probe time-series attached).
-    pub report: RunReport,
-    /// The profiler's wall-clock attribution.
-    pub profile: Option<ProfileReport>,
-    /// Number of overlay nodes.
-    pub nodes: usize,
-    /// The retained trace records, oldest first.
-    pub records: Vec<TraceRecord>,
-    /// Records the sink accepted in total.
-    pub recorded: u64,
-    /// Records the ring dropped on overflow (oldest first).
-    pub dropped: u64,
-}
-
-/// Runs `scenario`'s Bullet′ workload with trace sink, probe and profiler
-/// enabled, retaining up to `ring` records.
+/// Runs `scenario` exactly as `lab run` does, with every run it makes
+/// traced, probed and profiled (up to `ring` records kept per run). The
+/// runs come back in the order the figure made them.
 ///
 /// # Errors
 ///
-/// Returns an error for scenarios without a Bullet′ runner (`Shotgun`).
-pub fn traced_run(
+/// Returns an error for the Shotgun tool (`fig15`), which has no emulator
+/// run, and for the open-system service scenarios, which `lab serve` runs.
+pub fn traced_runs(
     scenario: &Scenario,
     opts: &CommonOpts,
     ring: usize,
-) -> Result<TracedRun, String> {
+) -> Result<Vec<CapturedRun>, String> {
     if scenario.system == SystemSet::Shotgun {
         return Err(format!(
             "scenario '{}' runs the Shotgun tool, which has no Bullet' runner to trace",
             scenario.name
         ));
     }
-    if scenario.dynamics == DynamicsKind::OpenArrivals {
+    if experiments::service_points(scenario.name).is_some() {
         return Err(format!(
             "scenario '{}' is an open-system service run; use `lab serve {}` \
              (its ServiceReport carries the steady-state series a trace would)",
             scenario.name, scenario.name
         ));
     }
-    let tick = opts.tick.unwrap_or(2.0);
-    let rng = RngFactory::new(opts.seed);
-    let (topo, file) = build_workload(scenario.topology, opts, &rng);
-    let nodes = topo.len();
-    let cfg = Config::new(file);
+    let tick = SimDuration::from_secs_f64(opts.tick.unwrap_or(2.0));
+    let (_, runs) = capture(ring, tick, || scenario.run(opts));
+    Ok(runs)
+}
 
-    let shared = Rc::new(RefCell::new(RingSink::new(ring)));
-    let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-    runner.set_trace_sink(Box::new(SharedSink {
-        ring: Rc::clone(&shared),
-    }));
-    runner.enable_profiling(10.0);
-    runner.record_timeseries(SimDuration::from_secs_f64(tick));
+/// Whether a mismatching replay of `run` is an error: its ring kept the
+/// whole stream and no node joined, left, crashed or retired mid-run.
+pub fn replay_is_strict(run: &CapturedRun) -> bool {
+    run.dropped == 0 && lifecycle_records(run) == 0
+}
 
-    match scenario.dynamics {
-        DynamicsKind::Static => {}
-        DynamicsKind::BandwidthChanges => {
-            for (at, batch) in paper_dynamic_schedule(nodes, opts.time_limit, &rng) {
-                runner.schedule_link_change(at, batch);
-            }
-        }
-        DynamicsKind::CascadingDegrade => {
-            // One degradation every 25 s over a ~100 MB download, scaled with
-            // the file like fig12.
-            let period = 25.0 * (file.file_bytes as f64 / (100.0 * 1024.0 * 1024.0));
-            for (at, batch) in cascade_schedule(nodes - 1, period.max(1.0)) {
-                runner.schedule_link_change(at, batch);
-            }
-        }
-        DynamicsKind::CrashWave | DynamicsKind::FlashCrowd => {
-            let median = clean_median(scenario.topology, opts, &rng);
-            let churn = if scenario.dynamics == DynamicsKind::CrashWave {
-                crash_wave_schedule(
-                    nodes,
-                    0.25,
-                    SimTime::from_secs_f64(0.2 * median),
-                    SimTime::from_secs_f64(0.6 * median),
-                    &rng,
-                )
-            } else {
-                let initial = 1 + (nodes - 1) / 4; // source + 25% of receivers
-                flash_crowd_schedule(
-                    nodes,
-                    initial,
-                    SimTime::from_secs_f64(0.25 * median),
-                    SimTime::from_secs_f64(0.75 * median),
-                )
-            };
-            for (at, event) in &churn {
-                if let NodeEvent::Join(node) = event {
-                    runner.set_inactive_at_start(*node);
-                }
-                runner.schedule_node_event(*at, *event);
-            }
-        }
-        DynamicsKind::OpenArrivals => {
-            unreachable!("open-arrivals scenarios were rejected before the workload was built")
-        }
-        DynamicsKind::CrossTraffic => {
-            // The fig19 square wave: a CBR stream occupying half the shared
-            // core, one boundary every ~20 s scaled with the file.
-            let period = (20.0 * file.file_bytes as f64 / (4.0 * 1024.0 * 1024.0)).max(4.0);
-            let cross = cross_traffic_square_wave(
-                (NodeId(0), NodeId(1)),
-                mbps(2.0),
-                SimDuration::from_secs_f64(period),
-                SimDuration::from_secs_f64(opts.time_limit),
-            );
-            for &(at, change) in &cross {
-                runner.schedule_cross_traffic(at, change);
-            }
-        }
-    }
+fn lifecycle_records(run: &CapturedRun) -> usize {
+    let lifecycle = ["node_join", "node_leave", "node_crash", "node_retire"];
+    run.records
+        .iter()
+        .filter(|r| lifecycle.contains(&r.ev.kind()))
+        .count()
+}
 
-    let report = runner.run(SimDuration::from_secs_f64(opts.time_limit));
-    let profile = runner.take_profile();
-    drop(runner); // Releases the boxed sink, leaving `shared` sole owner.
-    let ring = Rc::try_unwrap(shared)
-        .map_err(|_| "trace ring still shared after the run".to_string())?
-        .into_inner();
-    let (recorded, dropped) = (ring.recorded(), ring.dropped());
-    Ok(TracedRun {
-        report,
-        profile,
-        nodes,
-        records: ring.into_records(),
-        recorded,
-        dropped,
-    })
+/// One JSONL line: the record's flat object with the run index in front.
+fn jsonl_line(run: usize, rec: &TraceRecord) -> String {
+    let json = serde_json::to_string(rec).expect("trace records always serialize");
+    format!("{{\"run\":{run},{}", &json[1..])
 }
 
 /// Compares the trace-replayed goodput series against the live probe's.
@@ -395,7 +200,7 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
     let targs = parse_trace_args(rest)?;
     let opts = CommonOpts::parse(targs.rest.clone())?;
 
-    let run = traced_run(scenario, &opts, targs.ring)?;
+    let runs = traced_runs(scenario, &opts, targs.ring)?;
     let keep = |rec: &&TraceRecord| match &targs.kind {
         Some(kind) => rec.ev.kind() == kind,
         None => true,
@@ -404,77 +209,84 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
     if let Some(path) = &targs.json {
         let mut out = String::new();
         let mut lines = 0u64;
-        for rec in run.records.iter().filter(keep) {
-            out.push_str(&serde_json::to_string(rec).expect("trace records always serialize"));
-            out.push('\n');
-            lines += 1;
+        for (i, run) in runs.iter().enumerate() {
+            for rec in run.records.iter().filter(keep) {
+                out.push_str(&jsonl_line(i, rec));
+                out.push('\n');
+                lines += 1;
+            }
         }
         std::fs::write(path, out).map_err(|e| format!("failed to write {path}: {e}"))?;
         eprintln!("wrote {path} ({lines} lines)");
     }
 
     println!(
-        "trace {name}: {} nodes, {} events, virtual end {:.1}s ({:?})",
-        run.nodes,
-        run.report.events,
-        run.report.end_time.as_secs_f64(),
-        run.report.reason,
+        "trace {name}: {} run(s), ring capacity {} records each",
+        runs.len(),
+        targs.ring
     );
-    println!(
-        "records: {} emitted, {} dropped (ring capacity {}), {} retained",
-        run.recorded,
-        run.dropped,
-        targs.ring,
-        run.records.len()
-    );
-    let summary = summarize(&run.records);
-    for (kind, count) in &summary.by_kind {
-        println!("  {kind:<16} {count:>10}");
-    }
-    if let (Some(first), Some(last)) = (summary.first_t, summary.last_t) {
-        println!("stream extent: {first:.3}s .. {last:.3}s");
-    }
-
-    if targs.tail > 0 {
-        let shown: Vec<&TraceRecord> = run.records.iter().filter(keep).collect();
-        let skip = shown.len().saturating_sub(targs.tail);
-        for rec in &shown[skip..] {
-            println!(
-                "{}",
-                serde_json::to_string(rec).expect("trace records always serialize")
-            );
-        }
-    }
-
-    let series = run
-        .report
-        .timeseries
-        .as_ref()
-        .expect("traced runs install the stats probe");
-    // A churn run legitimately diverges: crashes reset cumulative counters
-    // the replay cannot see. An overflowed ring lost the stream's head.
-    let strict = run.dropped == 0
-        && !matches!(
-            scenario.dynamics,
-            DynamicsKind::CrashWave | DynamicsKind::FlashCrowd
-        );
-    match check_replay(&run.records, series, run.nodes) {
-        Ok(msg) => println!("replay check: OK — {msg}"),
-        Err(msg) if strict => return Err(format!("replay check FAILED: {msg}")),
-        Err(msg) => println!(
-            "replay check: skipped ({msg}; {} records dropped, {} dynamics)",
-            run.dropped,
-            scenario.dynamics.tag()
-        ),
-    }
-
-    if let Some(profile) = &run.profile {
+    for (i, run) in runs.iter().enumerate() {
         println!(
-            "profiler (wall-clock attribution, {} events):",
-            run.report.events
+            "run {i}: {} nodes, {} events, virtual end {:.1}s ({:?})",
+            run.nodes,
+            run.report.events,
+            run.report.end_time.as_secs_f64(),
+            run.report.reason,
         );
-        for line in profile.lines() {
-            println!("  {line}");
+        let receivers = collect_times(&run.report);
+        let times = receivers.cdf("receivers");
+        println!(
+            "  receivers: p10 {:.1}s, median {:.1}s, p90 {:.1}s, slowest {:.1}s, {} unfinished",
+            times.quantile(0.1),
+            times.quantile(0.5),
+            times.quantile(0.9),
+            times.max_x(),
+            receivers.unfinished,
+        );
+        println!(
+            "  records: {} emitted, {} dropped, {} retained",
+            run.recorded,
+            run.dropped,
+            run.records.len()
+        );
+        let summary = summarize(&run.records);
+        for (kind, count) in &summary.by_kind {
+            println!("    {kind:<16} {count:>10}");
+        }
+        if let (Some(first), Some(last)) = (summary.first_t, summary.last_t) {
+            println!("  stream extent: {first:.3}s .. {last:.3}s");
+        }
+
+        if targs.tail > 0 {
+            let shown: Vec<&TraceRecord> = run.records.iter().filter(keep).collect();
+            let skip = shown.len().saturating_sub(targs.tail);
+            for rec in &shown[skip..] {
+                println!("  {}", jsonl_line(i, rec));
+            }
+        }
+
+        let series = run
+            .report
+            .timeseries
+            .as_ref()
+            .expect("the tap installs the stats probe");
+        match check_replay(&run.records, series, run.nodes) {
+            Ok(msg) => println!("  replay check: OK — {msg}"),
+            Err(msg) if replay_is_strict(run) => {
+                return Err(format!("run {i}: replay check FAILED: {msg}"))
+            }
+            Err(msg) => println!(
+                "  replay check: skipped ({msg}; {} records dropped, {} node-lifecycle records)",
+                run.dropped,
+                lifecycle_records(run)
+            ),
+        }
+
+        if let Some(profile) = &run.profile {
+            println!("  profiler (wall-clock attribution):");
+            for line in profile.lines() {
+                println!("    {line}");
+            }
         }
     }
     Ok(())
@@ -483,6 +295,7 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::TraceEvent;
 
     #[test]
     fn trace_args_split_trace_flags_from_figure_flags() {
@@ -521,7 +334,7 @@ mod tests {
     fn shotgun_scenarios_are_not_traceable() {
         let registry = Registry::standard();
         let fig15 = registry.get("fig15").expect("registered");
-        let err = traced_run(fig15, &CommonOpts::default(), 16).unwrap_err();
+        let err = traced_runs(fig15, &CommonOpts::default(), 16).unwrap_err();
         assert!(err.contains("Shotgun"), "{err}");
     }
 
@@ -530,15 +343,16 @@ mod tests {
         let registry = Registry::standard();
         for name in ["fig21", "fig22"] {
             let sc = registry.get(name).expect("registered");
-            let err = traced_run(sc, &CommonOpts::default(), 16).unwrap_err();
+            let err = traced_runs(sc, &CommonOpts::default(), 16).unwrap_err();
             assert!(err.contains("lab serve"), "{name}: {err}");
         }
     }
 
     #[test]
     fn traced_fig05_replays_the_probe_series_from_the_ring() {
-        // The acceptance check at smoke scale: the trace stream alone must
-        // reproduce the StatsProbe goodput series.
+        // The acceptance check at smoke scale: fig05 traces its four
+        // systems, and each run's trace stream alone reproduces its
+        // StatsProbe goodput series.
         let registry = Registry::standard();
         let fig05 = registry.get("fig05").expect("registered");
         let opts = CommonOpts {
@@ -548,15 +362,31 @@ mod tests {
             tick: Some(1.0),
             ..CommonOpts::default()
         };
-        let run = traced_run(fig05, &opts, DEFAULT_RING).unwrap();
-        assert_eq!(run.dropped, 0, "smoke run must fit the default ring");
-        assert_eq!(run.recorded as usize, run.records.len());
-        assert!(run.records.len() > 100, "a real run emits many records");
-        let series = run.report.timeseries.as_ref().expect("probe installed");
-        let msg = check_replay(&run.records, series, run.nodes).expect("replay must match");
-        assert!(msg.contains("6 nodes"), "{msg}");
-        // The profiler saw the run too.
-        let profile = run.profile.expect("profiling was enabled");
-        assert!(profile.total_nanos() > 0);
+        let runs = traced_runs(fig05, &opts, 1 << 16).unwrap();
+        assert_eq!(runs.len(), 4, "one run per system");
+        for run in &runs {
+            assert!(replay_is_strict(run), "smoke runs fit the ring, no churn");
+            assert_eq!(run.recorded as usize, run.records.len());
+            assert!(run.records.len() > 100, "a real run emits many records");
+            let series = run.report.timeseries.as_ref().expect("probe installed");
+            let msg = check_replay(&run.records, series, run.nodes).expect("replay must match");
+            assert!(msg.contains("6 nodes"), "{msg}");
+            // The profiler saw the run too.
+            let profile = run.profile.as_ref().expect("profiling was enabled");
+            assert!(profile.total_nanos() > 0);
+        }
+    }
+
+    #[test]
+    fn jsonl_lines_lead_with_the_run_index() {
+        let rec = TraceRecord {
+            t: 1.5,
+            seq: 7,
+            ev: TraceEvent::ProbeTick,
+        };
+        assert_eq!(
+            jsonl_line(3, &rec),
+            r#"{"run":3,"t":1.5,"seq":7,"kind":"probe_tick"}"#
+        );
     }
 }

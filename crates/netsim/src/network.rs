@@ -916,8 +916,15 @@ impl Network {
     /// bytes/second (cross traffic not included). Combined with
     /// [`crate::topology::Topology::link_capacity`] this gives the core-link
     /// utilisation the service layer samples.
+    ///
+    /// Exact: the rates are summed afresh, in the link's deterministic flow
+    /// order and starting from `+0.0`, so an idle link reads exactly zero.
+    /// The incremental `link_usage` sum the fast paths test against drifts
+    /// by float residue as flows come and go.
     pub fn link_load(&self, link: LinkId) -> BytesPerSec {
-        self.link_usage[link.index()]
+        self.link_flows[link.index()]
+            .iter()
+            .fold(0.0, |sum, &(_, fid)| sum + self.flow_rate[fid as usize])
     }
 
     /// Re-prices the flows affected by capacity changes on the core links

@@ -428,6 +428,12 @@ impl<P: Protocol> Runner<P> {
         self.probes.push(probe);
     }
 
+    /// The sampling interval of the installed probes, `None` if the run
+    /// records no probe series.
+    pub fn probe_interval(&self) -> Option<SimDuration> {
+        self.probe_interval
+    }
+
     /// Convenience: installs the built-in [`StatsProbe`], whose series
     /// (instantaneous goodput, duplicate ratio, peer-set sizes per node)
     /// lands on [`RunReport::timeseries`].

@@ -3,7 +3,8 @@
 //! Random topologies (heterogeneous access links, dedicated and shared core
 //! links, loss) are driven through random operation sequences — flow starts,
 //! block completions, connection closes, bandwidth changes, cross-traffic
-//! changes — and after every operation three invariants must hold:
+//! changes — and after every operation the first two invariants below must
+//! hold; the last two are checked once the sequence ends:
 //!
 //! 1. **Conservation** — no link carries more than its usable capacity
 //!    (loss-discounted, minus cross traffic);
@@ -14,7 +15,9 @@
 //! 3. **Incremental = from-scratch** — re-solving everything from scratch
 //!    ([`Network::reprice_all`]) reproduces the incrementally maintained
 //!    rates, so component-scoped repricing never drifts from the global
-//!    optimum.
+//!    optimum;
+//! 4. **Idle means zero** — once every connection is closed, every link's
+//!    [`Network::link_load`] is exactly `+0.0`.
 
 use desim::{RngFactory, SimTime};
 use dissem_codec::BlockId;
@@ -223,6 +226,23 @@ fn run_scenario(n: usize, access_step: u64, core_kb: u64, loss: f64, shared: boo
         prop_assert!(
             (new - old).abs() <= old * TOL,
             "incremental drift on {a}→{b}: {old} vs from-scratch {new}"
+        );
+    }
+
+    // 4. Idle links read exactly zero: once every flow is closed, the load
+    //    sum carries no float residue of the flows that came and went.
+    for a in 0..n as u32 {
+        for b in 0..n as u32 {
+            if a != b {
+                net.close_connection(now, NodeId(a), NodeId(b));
+            }
+        }
+    }
+    for l in (0..net.topology().num_links() as u32).map(netsim::LinkId) {
+        let load = net.link_load(l);
+        prop_assert!(
+            load.to_bits() == 0.0f64.to_bits(),
+            "idle link {l:?} reads load {load:e}"
         );
     }
 }

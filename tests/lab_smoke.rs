@@ -4,10 +4,11 @@
 //! observability layer (trace + probe + profiler, `lab trace`) interleaves
 //! with all of it without perturbing the simulation.
 
+use bullet_repro::bullet_bench::tap::capture;
 use bullet_repro::bullet_bench::{experiments, CommonOpts};
 use bullet_repro::bullet_lab::{
-    check_replay, run_serve, run_sweep, run_sweep_with, traced_run, DynamicsKind, Registry,
-    Scenario, SystemSet, TopologyKind,
+    check_replay, replay_is_strict, run_serve, run_sweep, run_sweep_with, traced_runs,
+    DynamicsKind, Registry, Scenario, SystemSet, TopologyKind,
 };
 use bullet_repro::bullet_prime::{build_runner, Config};
 use bullet_repro::desim::{RngFactory, SimDuration};
@@ -218,7 +219,9 @@ fn thousand_node_swarm_interleaves_probe_and_trace() {
         tick: Some(5.0),
         ..CommonOpts::default()
     };
-    let run = traced_run(fig20, &opts, 1 << 22).expect("fig20 is traceable");
+    let runs = traced_runs(fig20, &opts, 1 << 22).expect("fig20 is traceable");
+    assert_eq!(runs.len(), 1, "--nodes collapses fig20 to one swarm");
+    let run = &runs[0];
     assert_eq!(run.nodes, 1_000);
     assert_eq!(run.dropped, 0, "the default-sized ring must not overflow");
     assert_eq!(run.recorded, run.report.trace_records);
@@ -237,6 +240,85 @@ fn thousand_node_swarm_interleaves_probe_and_trace() {
         run.records.windows(2).all(|w| w[0].seq <= w[1].seq),
         "records must replay in dispatch order"
     );
+}
+
+#[test]
+fn lab_trace_captures_every_run_lab_run_makes() {
+    // `lab trace` is `lab run` with the tap installed: every run the figure
+    // makes is captured, observation leaves each run's completion times
+    // (and so the figure) exactly as the untraced `lab run` computes them,
+    // and every complete, churn-free stream replays its probe series.
+    const RING: usize = 1 << 16;
+    let reg = Registry::standard();
+    let mut refused = Vec::new();
+    let mut lifecycle_runs = 0;
+    for sc in reg.iter() {
+        let opts = CommonOpts {
+            nodes: Some(if sc.name == "fig20" { 30 } else { 6 }),
+            file_mb: Some(0.125),
+            time_limit: 1800.0,
+            tick: Some(1.0),
+            ..CommonOpts::default()
+        };
+        let Ok(runs) = traced_runs(sc, &opts, RING) else {
+            refused.push(sc.name);
+            continue;
+        };
+        // One run per system, variant, calibration run or churn wave.
+        let expected = match sc.name {
+            "fig05ts" | "fig05w" | "fig13" | "fig19" | "fig20" => 1,
+            "fig17" | "fig18" => 2,
+            "fig09" => 3,
+            "fig11" => 5,
+            "fig10" => 6,
+            _ => 4,
+        };
+        assert_eq!(runs.len(), expected, "{}: one run per runner", sc.name);
+
+        // The figure computed from the captured runs is `lab run`'s.
+        let (traced_fig, _) = capture(RING, SimDuration::from_secs(1), || sc.run(&opts));
+        let untraced = sc.run(&opts);
+        if sc.name == "fig20" {
+            // fig20 also plots its event count, which includes the probe
+            // ticks the tap adds; its completion-time CDF must still match.
+            assert_eq!(
+                format!("{:?}", traced_fig.series[0]),
+                format!("{:?}", untraced.series[0]),
+                "fig20"
+            );
+        } else {
+            assert_eq!(
+                traced_fig.to_json(),
+                untraced.to_json(),
+                "{}: tracing changed what the runs computed",
+                sc.name
+            );
+        }
+
+        for (i, run) in runs.iter().enumerate() {
+            assert_eq!(
+                run.recorded, run.report.trace_records,
+                "{} run {i}",
+                sc.name
+            );
+            assert_eq!(run.dropped, 0, "{} run {i} overflowed the ring", sc.name);
+            if replay_is_strict(run) {
+                let series = run.report.timeseries.as_ref().expect("probe installed");
+                check_replay(&run.records, series, run.nodes)
+                    .unwrap_or_else(|e| panic!("{} run {i}: {e}", sc.name));
+            } else {
+                // Only churn waves see node-lifecycle records.
+                assert!(matches!(sc.name, "fig16" | "fig17"), "{} run {i}", sc.name);
+                lifecycle_runs += 1;
+            }
+        }
+    }
+    assert_eq!(
+        refused,
+        ["fig15", "fig21", "fig22"],
+        "Shotgun and service runs"
+    );
+    assert!(lifecycle_runs > 0, "the churn waves must be traced too");
 }
 
 #[test]
