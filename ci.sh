@@ -48,7 +48,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # records events-processed (a deterministic scheduler-efficiency proxy), the
 # heap-allocation count of the run, and the wall-clock seconds of the machine
 # that last ran CI. Events are GATED (a >10% increase fails CI, so scheduler
-# or network-model regressions cannot land silently). Wall-clock is also
+# or network-model regressions cannot land silently), and so are run
+# allocations, which are deterministic for a fixed seed (a >10% increase
+# fails CI, so per-event allocations cannot creep back in). Wall-clock is also
 # GATED, absolutely: the heap-ordered solver brought the run to ~0.55s, so
 # anything above 0.72s (the old regressed 1.05s minus a generous margin for
 # machine noise) fails CI and 0.60–0.72s warns. The relative delta against
@@ -92,7 +94,11 @@ awk -v cur="$new_wall" 'BEGIN {
 }'
 if [ -n "$prev_allocs" ] && [ -n "$new_allocs" ]; then
     awk -v prev="$prev_allocs" -v cur="$new_allocs" 'BEGIN {
-        printf "run-allocs %d -> %d (%+.1f%%, informational only)\n", prev, cur, (cur - prev) / prev * 100
+        if (cur > prev * 1.10) {
+            printf "FAIL: run-allocs regressed %d -> %d (more than 10%%)\n", prev, cur
+            exit 1
+        }
+        printf "run-allocs %d -> %d (within the 10%% gate)\n", prev, cur
     }'
 else
     echo "WARN: run_allocs missing from the committed baseline (predates the field?); skipping comparison (now ${new_allocs:-unrecorded})"

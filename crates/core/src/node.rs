@@ -9,7 +9,7 @@
 //! controller (§3.3.3), order their requests with the configured strategy
 //! (§3.3.2) and stay up to date through incremental diffs (§3.3.4).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use desim::SimTime;
 use dissem_codec::{BlockBitmap, BlockId, DiffTracker};
@@ -266,18 +266,20 @@ impl BulletPrimeNode {
         if self.children.is_empty() {
             return;
         }
-        let mut queued_now: HashMap<NodeId, usize> = HashMap::new();
+        // Blocks queued during this call, by position in `self.children`.
+        let mut queued_now = vec![0usize; self.children.len()];
         'outer: while src.next_block < self.block_space {
             // Find a child whose pipe has room, starting from the round-robin
             // cursor so every child gets an equal share of distinct blocks.
             for probe in 0..self.children.len() {
-                let child = self.children[(src.rr_cursor + probe) % self.children.len()];
+                let slot = (src.rr_cursor + probe) % self.children.len();
+                let child = self.children[slot];
                 // A child that has not joined (or is gone) would swallow the
                 // whole stream through its forever-empty pipe.
                 if !ctx.peer_active(child) {
                     continue;
                 }
-                let pending = ctx.pending_to(child) + queued_now.get(&child).copied().unwrap_or(0);
+                let pending = ctx.pending_to(child) + queued_now[slot];
                 if pending < self.cfg.source_pipe_blocks {
                     let block = BlockId(src.next_block);
                     let bytes = if block.0 < self.cfg.file.num_blocks() {
@@ -286,7 +288,7 @@ impl BulletPrimeNode {
                         u64::from(self.cfg.file.block_bytes)
                     };
                     ctx.queue_block(child, block, bytes);
-                    *queued_now.entry(child).or_insert(0) += 1;
+                    queued_now[slot] += 1;
                     src.next_block += 1;
                     src.rr_cursor = (src.rr_cursor + probe + 1) % self.children.len();
                     continue 'outer;
@@ -504,38 +506,32 @@ impl BulletPrimeNode {
     // Diffs (§3.3.4).
     // ------------------------------------------------------------------
 
-    fn send_diff(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        let Some(r) = self.receivers.get_mut(&peer) else {
-            return;
-        };
-        let mut blocks: Vec<BlockId> = Vec::new();
-        for b in r.pending_adverts.drain(..) {
-            if !r.diff.already_advertised(b) {
-                blocks.push(b);
-            }
-        }
-        if blocks.is_empty() {
-            return;
-        }
-        r.diff.mark_advertised(blocks.iter().copied());
-        ctx.send(peer, Msg::Diff { blocks });
-    }
-
     /// Queue pending availability announcements and flush them to receivers
     /// whose request pipeline from us is empty (self-clocking diffs).
     fn propagate_availability(&mut self, ctx: &mut Ctx<'_, Self>, block: BlockId) {
-        let peers: Vec<NodeId> = self.receivers.keys().copied().collect();
-        for peer in peers {
-            if let Some(r) = self.receivers.get_mut(&peer) {
-                if !r.diff.already_advertised(block) {
-                    r.pending_adverts.push(block);
-                }
+        let eager = !self.cfg.lazy_diffs;
+        for (&peer, r) in &mut self.receivers {
+            if !r.diff.already_advertised(block) {
+                r.pending_adverts.push(block);
             }
-            if !self.cfg.lazy_diffs && ctx.pending_to(peer) == 0 {
-                self.send_diff(ctx, peer);
+            if eager && ctx.pending_to(peer) == 0 {
+                flush_diff(ctx, peer, r);
             }
         }
     }
+}
+
+/// Sends `peer` a diff of the pending announcements it has not been told
+/// about yet, if there are any, and clears them.
+fn flush_diff(ctx: &mut Ctx<'_, BulletPrimeNode>, peer: NodeId, r: &mut ReceiverState) {
+    let diff = &r.diff;
+    r.pending_adverts.retain(|&b| !diff.already_advertised(b));
+    if r.pending_adverts.is_empty() {
+        return;
+    }
+    let blocks = std::mem::take(&mut r.pending_adverts);
+    r.diff.mark_advertised(blocks.iter().copied());
+    ctx.send(peer, Msg::Diff { blocks });
 }
 
 impl Protocol for BulletPrimeNode {
@@ -629,7 +625,9 @@ impl Protocol for BulletPrimeNode {
                 }
             }
             Msg::DiffRequest => {
-                self.send_diff(ctx, from);
+                if let Some(r) = self.receivers.get_mut(&from) {
+                    flush_diff(ctx, from, r);
+                }
             }
             Msg::BlockRequest {
                 blocks,
@@ -784,15 +782,9 @@ impl Protocol for BulletPrimeNode {
                 for peer in senders {
                     self.issue_requests(ctx, peer);
                 }
-                let receivers: Vec<NodeId> = self.receivers.keys().copied().collect();
-                for peer in receivers {
-                    let has_pending = self
-                        .receivers
-                        .get(&peer)
-                        .map(|r| !r.pending_adverts.is_empty())
-                        .unwrap_or(false);
-                    if has_pending && ctx.pending_to(peer) == 0 {
-                        self.send_diff(ctx, peer);
+                for (&peer, r) in &mut self.receivers {
+                    if !r.pending_adverts.is_empty() && ctx.pending_to(peer) == 0 {
+                        flush_diff(ctx, peer, r);
                     }
                 }
                 if self.role == Role::Source {

@@ -18,6 +18,18 @@
 //! provide the block (the paper notes that cancelling in-flight blocks is
 //! impractical, so the timeout is insurance against pathological stalls, not
 //! an optimisation).
+//!
+//! **Cost and RNG contract.** [`RequestManager::select_requests`] makes one
+//! pass over the sender's discovery-ordered candidates and keeps the best
+//! `count` in a bounded buffer: O(candidates · count) comparisons with
+//! `count` usually 1–3, no sort and no allocation beyond the returned
+//! `Vec`. `random` and `rarest-random` draw exactly one `u64` per unrequested
+//! candidate, in discovery order; `first-encountered` and `rarest` draw
+//! none. Per-sender outstanding counts are kept incrementally, so
+//! [`RequestManager::outstanding_to`] does not scan the in-flight map.
+//! Changing the candidate order, the keys or the number of draws changes
+//! every run's output and needs a deliberate re-baseline of the pinned
+//! digests in `tests/determinism.rs`.
 
 use std::collections::BTreeMap;
 
@@ -37,6 +49,8 @@ struct SenderAvailability {
     order: Vec<BlockId>,
     /// Membership bitmap for O(1) lookups and word-level counting.
     bits: BlockBitmap,
+    /// Number of `in_flight` entries addressed to this sender.
+    outstanding: usize,
 }
 
 impl SenderAvailability {
@@ -44,9 +58,15 @@ impl SenderAvailability {
         SenderAvailability {
             order: Vec::new(),
             bits: BlockBitmap::new(block_space),
+            outstanding: 0,
         }
     }
 }
+
+/// A selection key, smaller first: `(rarity, tie-break)`. `random` uses a
+/// rarity of 0, `rarest` the block index as its tie-break, and
+/// `first-encountered` the constant `(0, 0)`, so discovery order decides.
+type Key = (u32, u64);
 
 /// A request currently outstanding to some sender.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +86,8 @@ pub struct RequestManager {
     /// Bitmap mirror of `in_flight`'s keys, for O(1) membership tests and
     /// word-level candidate counting.
     in_flight_bits: BlockBitmap,
+    /// Reused top-k buffer of `select_requests`, ascending by key.
+    best: Vec<(Key, BlockId)>,
 }
 
 impl RequestManager {
@@ -77,6 +99,7 @@ impl RequestManager {
             available: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             in_flight_bits: BlockBitmap::new(block_space),
+            best: Vec::new(),
         }
     }
 
@@ -147,8 +170,9 @@ impl RequestManager {
     /// Records a block arrival (from anywhere): clears its outstanding entry
     /// and drops it from every sender's candidate list.
     pub fn on_block_received(&mut self, block: BlockId) {
-        if self.in_flight.remove(&block).is_some() {
+        if let Some(f) = self.in_flight.remove(&block) {
             self.in_flight_bits.remove(block);
+            self.note_released(f.to);
         }
         for av in self.available.values_mut() {
             if av.bits.remove(block) {
@@ -184,7 +208,7 @@ impl RequestManager {
 
     /// Number of requests currently outstanding to `peer`.
     pub fn outstanding_to(&self, peer: NodeId) -> usize {
-        self.in_flight.values().filter(|f| f.to == peer).count()
+        self.available.get(&peer).map_or(0, |av| av.outstanding)
     }
 
     /// Total number of requests outstanding anywhere.
@@ -212,46 +236,25 @@ impl RequestManager {
         let bits = &av.bits;
         av.order.retain(|b| bits.contains(*b) && !have.contains(*b));
 
-        let candidates: Vec<BlockId> = av
-            .order
-            .iter()
-            .copied()
-            .filter(|b| !self.in_flight_bits.contains(*b))
-            .collect();
-        if candidates.is_empty() {
-            return Vec::new();
+        let strategy = self.strategy;
+        let rarity = &self.rarity;
+        let best = &mut self.best;
+        best.clear();
+        for b in av.order.iter().copied() {
+            if self.in_flight_bits.contains(b) {
+                continue;
+            }
+            let key = match strategy {
+                RequestStrategy::FirstEncountered => (0, 0),
+                RequestStrategy::Random => (0, rng.gen::<u64>()),
+                RequestStrategy::Rarest => (rarity[b.index()], u64::from(b.0)),
+                RequestStrategy::RarestRandom => (rarity[b.index()], rng.gen::<u64>()),
+            };
+            keep_best(best, count, key, b);
         }
+        let chosen: Vec<BlockId> = best.iter().map(|&(_, b)| b).collect();
 
-        let chosen = match self.strategy {
-            RequestStrategy::FirstEncountered => {
-                candidates.into_iter().take(count).collect::<Vec<_>>()
-            }
-            RequestStrategy::Random => {
-                let mut keyed: Vec<(u64, BlockId)> = candidates
-                    .into_iter()
-                    .map(|b| (rng.gen::<u64>(), b))
-                    .collect();
-                keyed.sort_unstable_by_key(|(k, _)| *k);
-                keyed.into_iter().take(count).map(|(_, b)| b).collect()
-            }
-            RequestStrategy::Rarest => {
-                let mut keyed: Vec<(u32, u32, BlockId)> = candidates
-                    .into_iter()
-                    .map(|b| (self.rarity[b.index()], b.0, b))
-                    .collect();
-                keyed.sort_unstable_by_key(|(r, idx, _)| (*r, *idx));
-                keyed.into_iter().take(count).map(|(_, _, b)| b).collect()
-            }
-            RequestStrategy::RarestRandom => {
-                let mut keyed: Vec<(u32, u64, BlockId)> = candidates
-                    .into_iter()
-                    .map(|b| (self.rarity[b.index()], rng.gen::<u64>(), b))
-                    .collect();
-                keyed.sort_unstable_by_key(|(r, k, _)| (*r, *k));
-                keyed.into_iter().take(count).map(|(_, _, b)| b).collect()
-            }
-        };
-
+        av.outstanding += chosen.len();
         for &b in &chosen {
             self.in_flight.insert(
                 b,
@@ -278,12 +281,41 @@ impl RequestManager {
                 true
             }
         });
-        for &(_, b) in &released {
+        for &(peer, b) in &released {
             self.in_flight_bits.remove(b);
+            self.note_released(peer);
         }
         released
     }
+
+    /// Decrements `peer`'s outstanding count after one of its requests left
+    /// `in_flight` (`remove_sender` drops the whole entry instead).
+    fn note_released(&mut self, peer: NodeId) {
+        if let Some(av) = self.available.get_mut(&peer) {
+            av.outstanding -= 1;
+        }
+    }
 }
+
+/// Offers `(key, block)` to `best`, which holds at most `count` entries in
+/// ascending key order: the smallest keys seen so far, earlier offers first
+/// among equal keys (so the result equals a stable sort followed by
+/// `take(count)`).
+fn keep_best(best: &mut Vec<(Key, BlockId)>, count: usize, key: Key, block: BlockId) {
+    if best.len() == count {
+        match best.last() {
+            Some(&(worst, _)) if key < worst => {
+                best.pop();
+            }
+            _ => return,
+        }
+    }
+    let at = best.partition_point(|&(k, _)| k <= key);
+    best.insert(at, (key, block));
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -10,9 +10,13 @@
 //! map, RNG stream shared across components, time-order tie broken by
 //! allocation order, ...) and would silently invalidate every figure.
 
+use bullet_repro::baselines::bullet_orig;
 use bullet_repro::bullet_bench::{run_system, SystemKind};
-use bullet_repro::bullet_prime::{build_runner, build_service_runner, Config, ServiceSwarms};
+use bullet_repro::bullet_prime::{
+    build_runner, build_service_runner, Config, RequestStrategy, ServiceSwarms,
+};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
+use bullet_repro::dissem_codec::file::fnv1a;
 use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::netsim::{
     mbps, run_service, topology, ArrivalGen, RunReport, ServiceConfig, ServiceReport,
@@ -129,6 +133,52 @@ fn all_four_systems_are_deterministic() {
             b,
             "{}: same seed must reproduce the run byte for byte",
             kind.label()
+        );
+    }
+}
+
+/// FNV-1a digest of the canonical report of a 16-node, 128-block run: Bullet′
+/// under `strategy`, or original Bullet when `strategy` is `None`.
+fn strategy_digest(strategy: Option<RequestStrategy>) -> u64 {
+    let rng = RngFactory::new(SEED);
+    let topo = topology::modelnet_mesh(16, 0.01, &rng);
+    let file = FileSpec::new(2 * 1024 * 1024, 16 * 1024);
+    let mut runner = match strategy {
+        Some(s) => {
+            let mut cfg = Config::new(file);
+            cfg.request_strategy = s;
+            build_runner(topo, &cfg, &rng)
+        }
+        None => bullet_orig::build_runner(topo, file, &rng),
+    };
+    fnv1a(
+        runner
+            .run(SimDuration::from_secs(3_600))
+            .canonical()
+            .as_bytes(),
+    )
+}
+
+#[test]
+fn request_strategy_runs_match_pinned_digests() {
+    // Pinned values: any change to which blocks a receiver requests, in what
+    // order, or how many RNG draws the choice consumes moves these digests.
+    // Such a change is a behaviour change and needs a deliberate re-baseline.
+    let pinned = [
+        (
+            Some(RequestStrategy::FirstEncountered),
+            0x1400_a451_c706_6652,
+        ),
+        (Some(RequestStrategy::Random), 0x21cd_c9c3_bc80_14da),
+        (Some(RequestStrategy::Rarest), 0xe170_b435_7612_252c),
+        (Some(RequestStrategy::RarestRandom), 0x7e33_2f80_2c97_c2f6),
+        (None, 0xd972_c15e_5993_767c),
+    ];
+    for (strategy, want) in pinned {
+        let got = strategy_digest(strategy);
+        assert_eq!(
+            got, want,
+            "{strategy:?} (None = original Bullet): digest {got:#018x} != pinned {want:#018x}"
         );
     }
 }
