@@ -8,15 +8,31 @@
 //! every knob is a hard-coded constant: a fixed number of connections, a
 //! fixed number of upload slots and a fixed five outstanding requests per
 //! peer, with no adaptation to network conditions.
+//!
+//! Piece selection lives in the `picker` module. Each node counts, per
+//! piece, how many neighbours hold it: the count rises when a bitfield or
+//! `Have` adds a piece that neighbour did not have yet and falls when
+//! `on_peer_failed` drops the neighbour. A request refill therefore costs
+//! O(pieces the peer holds), with no rescan of the other neighbours. Its
+//! RNG contract: one `u64` tie-break per piece the peer holds, drawn in
+//! ascending piece order before pieces we already hold are filtered out,
+//! and no draw at all when the download is done or the peer's request
+//! window is full.
+
+#[cfg(test)]
+mod oracle;
+mod picker;
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use desim::SimDuration;
-use dissem_codec::{BlockBitmap, BlockId, FileSpec};
+use dissem_codec::{BlockId, FileSpec};
 use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, TimerToken, WireSize};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+use picker::{Arrival, PeerPieces, PiecePicker};
 
 /// BitTorrent's timer vocabulary (see [`netsim::TimerToken`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,10 +179,10 @@ impl WireSize for BtMsg {
 }
 
 /// Per-neighbour state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Neighbour {
-    /// Pieces the neighbour has completed (from bitfield + Have messages).
-    has_pieces: BTreeSet<u32>,
+    /// Pieces the neighbour holds and blocks we asked it for.
+    pieces: PeerPieces,
     /// We are choking them (they may not request from us).
     am_choking: bool,
     /// They are choking us.
@@ -177,16 +193,17 @@ struct Neighbour {
     bytes_from: u64,
     /// Bytes we finished sending to them in the current choke window.
     bytes_to: u64,
-    /// Blocks we have requested from them and not yet received.
-    outstanding: BTreeSet<BlockId>,
 }
 
 impl Neighbour {
-    fn new() -> Self {
+    fn new(pieces: PeerPieces) -> Self {
         Neighbour {
+            pieces,
             am_choking: true,
             peer_choking: true,
-            ..Default::default()
+            am_interested: false,
+            bytes_from: 0,
+            bytes_to: 0,
         }
     }
 }
@@ -197,12 +214,9 @@ impl Neighbour {
 pub struct BitTorrentNode {
     id: NodeId,
     cfg: BitTorrentConfig,
-    have: BlockBitmap,
-    /// Number of blocks still missing from each piece.
-    piece_missing: Vec<u32>,
+    /// Held blocks, per-piece progress, requests in flight and availability.
+    picker: PiecePicker,
     neighbours: BTreeMap<NodeId, Neighbour>,
-    /// Blocks requested anywhere (avoid duplicate requests before endgame).
-    in_flight: BTreeSet<BlockId>,
     /// Tracker state (only used on node 0): every node that has announced.
     swarm: Vec<NodeId>,
     optimistic: Option<NodeId>,
@@ -216,30 +230,12 @@ pub struct BitTorrentNode {
 impl BitTorrentNode {
     /// Creates a node; node 0 is the seed/tracker.
     pub fn new(id: NodeId, cfg: BitTorrentConfig) -> Self {
-        let n = cfg.file.num_blocks();
-        let num_pieces = n.div_ceil(cfg.piece_blocks);
-        let piece_missing = if id == NodeId(0) {
-            vec![0; num_pieces as usize]
-        } else {
-            (0..num_pieces)
-                .map(|p| {
-                    let start = p * cfg.piece_blocks;
-                    (cfg.piece_blocks).min(n - start)
-                })
-                .collect()
-        };
-        let have = if id == NodeId(0) {
-            BlockBitmap::full(n)
-        } else {
-            BlockBitmap::new(n)
-        };
+        let picker = PiecePicker::new(cfg.file.num_blocks(), cfg.piece_blocks, id == NodeId(0));
         BitTorrentNode {
             id,
             cfg,
-            have,
-            piece_missing,
+            picker,
             neighbours: BTreeMap::new(),
-            in_flight: BTreeSet::new(),
             swarm: Vec::new(),
             optimistic: None,
             completed_at: None,
@@ -271,42 +267,16 @@ impl BitTorrentNode {
 
     /// Number of blocks currently held.
     pub fn blocks_held(&self) -> u32 {
-        self.have.count()
-    }
-
-    fn piece_of(&self, block: BlockId) -> u32 {
-        block.0 / self.cfg.piece_blocks
+        self.picker.have().count()
     }
 
     /// Pieces this node has fully downloaded (only these may be shared onward).
     fn bitfield(&self) -> Vec<u32> {
-        self.piece_missing
-            .iter()
-            .enumerate()
-            .filter(|(_, &missing)| missing == 0)
-            .map(|(p, _)| p as u32)
-            .collect()
+        self.picker.bitfield()
     }
 
     fn download_done(&self) -> bool {
-        self.have.is_full()
-    }
-
-    fn piece_rarity(&self, piece: u32) -> usize {
-        self.neighbours
-            .values()
-            .filter(|n| n.has_pieces.contains(&piece))
-            .count()
-    }
-
-    /// Blocks of `piece` that we are missing and that are not in flight.
-    fn wanted_blocks_of_piece(&self, piece: u32) -> Vec<BlockId> {
-        let start = piece * self.cfg.piece_blocks;
-        let end = (start + self.cfg.piece_blocks).min(self.cfg.file.num_blocks());
-        (start..end)
-            .map(BlockId)
-            .filter(|b| !self.have.contains(*b) && !self.in_flight.contains(b))
-            .collect()
+        self.picker.have().is_full()
     }
 
     /// Issues rarest-first requests to every neighbour that has unchoked us,
@@ -321,62 +291,21 @@ impl BitTorrentNode {
         }
     }
 
+    /// Tops `peer`'s request window up with rarest-first blocks (see
+    /// [`PiecePicker::pick`]) unless it is choking us.
     fn issue_requests_to(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        if self.download_done() {
-            return;
-        }
-        let Some(n) = self.neighbours.get(&peer) else {
+        let Some(n) = self.neighbours.get_mut(&peer) else {
             return;
         };
-        if n.peer_choking || n.outstanding.len() >= self.cfg.outstanding_per_peer {
+        if n.peer_choking {
             return;
         }
-        let want = self.cfg.outstanding_per_peer - n.outstanding.len();
-        // Candidate pieces: the peer has completed them, we still need blocks
-        // from them. Pieces are ranked strictly rarest-first with a random
-        // tie-break; sub-piece blocks are then requested in order.
-        let mut pieces: Vec<(bool, usize, u64, u32)> = {
-            let candidate_pieces: Vec<u32> = n.has_pieces.iter().copied().collect();
-            let rng: &mut StdRng = ctx.rng();
-            candidate_pieces
-                .into_iter()
-                .map(|p| (false, 0usize, rng.gen::<u64>(), p))
-                .collect()
-        };
-        for entry in &mut pieces {
-            let piece = entry.3;
-            // Strict priority: finish partially downloaded pieces first so they
-            // become shareable, then go rarest-first among untouched pieces.
-            let total = self
-                .cfg
-                .piece_blocks
-                .min(self.cfg.file.num_blocks() - piece * self.cfg.piece_blocks);
-            let missing = self.piece_missing[piece as usize];
-            entry.0 = missing == total; // false (=first) when partially done
-            entry.1 = self.piece_rarity(piece);
+        let chosen = self
+            .picker
+            .pick(&mut n.pieces, self.cfg.outstanding_per_peer, ctx.rng());
+        if !chosen.is_empty() {
+            ctx.send(peer, BtMsg::Request { blocks: chosen });
         }
-        pieces.sort_unstable_by_key(|(untouched, r, t, _)| (*untouched, *r, *t));
-        let mut chosen: Vec<BlockId> = Vec::new();
-        for (_, _, _, piece) in pieces {
-            if chosen.len() >= want {
-                break;
-            }
-            for b in self.wanted_blocks_of_piece(piece) {
-                if chosen.len() >= want {
-                    break;
-                }
-                chosen.push(b);
-            }
-        }
-        if chosen.is_empty() {
-            return;
-        }
-        let n = self.neighbours.get_mut(&peer).expect("checked above");
-        for &b in &chosen {
-            n.outstanding.insert(b);
-            self.in_flight.insert(b);
-        }
-        ctx.send(peer, BtMsg::Request { blocks: chosen });
     }
 
     /// Recomputes the choke set: the top uploaders (for a downloader) or top
@@ -474,7 +403,8 @@ impl BitTorrentNode {
         {
             return;
         }
-        self.neighbours.insert(peer, Neighbour::new());
+        self.neighbours
+            .insert(peer, Neighbour::new(self.picker.new_peer()));
         ctx.send(
             peer,
             BtMsg::Handshake {
@@ -485,16 +415,9 @@ impl BitTorrentNode {
 
     fn note_peer_pieces(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, pieces: &[u32]) {
         let mut becomes_interesting = false;
-        let missing: Vec<bool> = pieces
-            .iter()
-            .map(|&p| self.piece_missing.get(p as usize).copied().unwrap_or(0) > 0)
-            .collect();
         if let Some(n) = self.neighbours.get_mut(&peer) {
-            for (&p, &still_missing) in pieces.iter().zip(missing.iter()) {
-                n.has_pieces.insert(p);
-                if still_missing {
-                    becomes_interesting = true;
-                }
+            for &p in pieces {
+                becomes_interesting |= self.picker.note_piece(&mut n.pieces, p);
             }
             if becomes_interesting && !n.am_interested {
                 n.am_interested = true;
@@ -554,7 +477,8 @@ impl Protocol for BitTorrentNode {
                 if !self.neighbours.contains_key(&from)
                     && self.neighbours.len() < self.cfg.max_connections * 2
                 {
-                    self.neighbours.insert(from, Neighbour::new());
+                    self.neighbours
+                        .insert(from, Neighbour::new(self.picker.new_peer()));
                 }
                 if self.neighbours.contains_key(&from) {
                     ctx.send(
@@ -582,9 +506,7 @@ impl Protocol for BitTorrentNode {
                 if let Some(n) = self.neighbours.get_mut(&from) {
                     n.peer_choking = true;
                     // Outstanding requests to a choking peer are abandoned.
-                    for b in std::mem::take(&mut n.outstanding) {
-                        self.in_flight.remove(&b);
-                    }
+                    self.picker.release(&mut n.pieces);
                 }
             }
             BtMsg::Unchoke => {
@@ -603,12 +525,8 @@ impl Protocol for BitTorrentNode {
                     return;
                 }
                 for block in blocks {
-                    let piece_complete = self
-                        .piece_missing
-                        .get(self.piece_of(block) as usize)
-                        .map(|&m| m == 0)
-                        .unwrap_or(false);
-                    if piece_complete && self.have.contains(block) {
+                    let piece_complete = self.picker.piece_complete(self.picker.piece_of(block));
+                    if piece_complete && self.picker.have().contains(block) {
                         let bytes = u64::from(self.cfg.file.block_size(block));
                         ctx.queue_block(from, block, bytes);
                     }
@@ -618,23 +536,17 @@ impl Protocol for BitTorrentNode {
     }
 
     fn on_block_received(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, receipt: BlockReceipt) {
-        let block = receipt.block;
-        let duplicate = self.have.contains(block);
-        self.in_flight.remove(&block);
-        if let Some(n) = self.neighbours.get_mut(&from) {
-            n.outstanding.remove(&block);
+        let sender = self.neighbours.get_mut(&from).map(|n| {
             n.bytes_from += receipt.bytes;
-        }
-        if duplicate {
+            &mut n.pieces
+        });
+        let arrival = self.picker.on_block(sender, receipt.block);
+        if arrival == Arrival::Duplicate {
             self.duplicates += 1;
         } else {
-            self.have.insert(block);
             self.arrival_times.push(ctx.now().as_secs_f64());
             self.useful_bytes += receipt.bytes;
-            let piece = self.piece_of(block);
-            let missing = &mut self.piece_missing[piece as usize];
-            *missing = missing.saturating_sub(1);
-            if *missing == 0 {
+            if let Arrival::Completed(piece) = arrival {
                 // A completed piece may be announced and shared onward: the
                 // classic `Have` flood, one identical message per neighbour.
                 ctx.send_to_many(self.neighbours.keys().copied(), &BtMsg::Have { piece });
@@ -654,12 +566,11 @@ impl Protocol for BitTorrentNode {
     }
 
     fn on_peer_failed(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        // Connection reset: forget the neighbour and free its request slots
-        // so the blocks become requestable from the survivors.
+        // Connection reset: forget the neighbour (its pieces stop counting
+        // towards availability) and free its request slots so the blocks
+        // become requestable from the survivors.
         if let Some(n) = self.neighbours.remove(&peer) {
-            for b in n.outstanding {
-                self.in_flight.remove(&b);
-            }
+            self.picker.forget(n.pieces);
         }
         if self.optimistic == Some(peer) {
             self.optimistic = None;
@@ -742,10 +653,15 @@ mod tests {
         let seed = BitTorrentNode::new(NodeId(0), cfg.clone());
         // 32 blocks, 16 per piece -> 2 pieces, all complete at the seed.
         assert_eq!(seed.bitfield(), vec![0, 1]);
-        let leech = BitTorrentNode::new(NodeId(1), cfg);
+        let mut leech = BitTorrentNode::new(NodeId(1), cfg);
         assert!(leech.bitfield().is_empty());
-        assert_eq!(leech.piece_missing, vec![16, 16]);
-        assert_eq!(leech.wanted_blocks_of_piece(1).len(), 16);
+        // A leecher asking a holder of piece 1 alone for more than a piece
+        // gets exactly that piece's 16 blocks.
+        let mut holder = leech.picker.new_peer();
+        assert!(leech.picker.note_piece(&mut holder, 1));
+        let mut rng = rand::SeedableRng::seed_from_u64(7);
+        let chosen = leech.picker.pick(&mut holder, 32, &mut rng);
+        assert_eq!(chosen, (16..32).map(BlockId).collect::<Vec<_>>());
     }
 
     #[test]

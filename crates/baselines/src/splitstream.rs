@@ -243,31 +243,18 @@ impl SplitStreamNode {
 
     /// Pushes queued blocks towards `child` while its pipe has room.
     fn drain_child(&mut self, ctx: &mut Ctx<'_, Self>, child: NodeId) {
-        let Some(queue) = self.backlog.get_mut(&child) else {
-            return;
-        };
-        let mut budget = PUSH_WINDOW.saturating_sub(ctx.pending_to(child));
-        while budget > 0 {
-            let Some(block) = queue.pop_front() else {
-                break;
-            };
-            let bytes = if block.0 < self.file.num_blocks() {
-                u64::from(self.file.block_size(block))
-            } else {
-                u64::from(self.file.block_bytes)
-            };
-            ctx.queue_block(child, block, bytes);
-            budget -= 1;
+        if let Some(queue) = self.backlog.get_mut(&child) {
+            drain(ctx, &self.file, child, queue);
         }
     }
 
     /// Enqueues `block` for every child in its stripe tree and pushes what fits.
     fn forward(&mut self, ctx: &mut Ctx<'_, Self>, block: BlockId) {
         let stripe = self.forest.stripe_of(block);
-        let children: Vec<NodeId> = self.forest.children(stripe, self.id).to_vec();
-        for child in children {
-            self.backlog.entry(child).or_default().push_back(block);
-            self.drain_child(ctx, child);
+        for &child in self.forest.children(stripe, self.id) {
+            let queue = self.backlog.entry(child).or_default();
+            queue.push_back(block);
+            drain(ctx, &self.file, child, queue);
         }
     }
 
@@ -340,10 +327,10 @@ impl Protocol for SplitStreamNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: SsTimer) {
         match timer {
             SsTimer::Keepalive => {
-                // Drain any backlog that stalled (e.g. after a bandwidth change).
-                let children: Vec<NodeId> = self.backlog.keys().copied().collect();
-                for child in children {
-                    self.drain_child(ctx, child);
+                // Drain any backlog that stalled (e.g. after a bandwidth
+                // change), children in ascending id order.
+                for (&child, queue) in &mut self.backlog {
+                    drain(ctx, &self.file, child, queue);
                 }
                 self.source_inject(ctx);
                 ctx.set_timer(SimDuration::from_secs(1), SsTimer::Keepalive);
@@ -369,6 +356,28 @@ impl Protocol for SplitStreamNode {
             },
             receivers: self.forest.fanout(self.id),
         }
+    }
+}
+
+/// Pushes blocks from `queue` towards `child` while its pipe has room.
+fn drain(
+    ctx: &mut Ctx<'_, SplitStreamNode>,
+    file: &FileSpec,
+    child: NodeId,
+    queue: &mut VecDeque<BlockId>,
+) {
+    let mut budget = PUSH_WINDOW.saturating_sub(ctx.pending_to(child));
+    while budget > 0 {
+        let Some(block) = queue.pop_front() else {
+            break;
+        };
+        let bytes = if block.0 < file.num_blocks() {
+            u64::from(file.block_size(block))
+        } else {
+            u64::from(file.block_bytes)
+        };
+        ctx.queue_block(child, block, bytes);
+        budget -= 1;
     }
 }
 

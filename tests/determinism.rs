@@ -10,7 +10,8 @@
 //! map, RNG stream shared across components, time-order tie broken by
 //! allocation order, ...) and would silently invalidate every figure.
 
-use bullet_repro::baselines::bullet_orig;
+use bullet_repro::baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
+use bullet_repro::bullet_bench::systems::paper_dynamic_schedule;
 use bullet_repro::bullet_bench::{run_system, SystemKind};
 use bullet_repro::bullet_prime::{
     build_runner, build_service_runner, Config, RequestStrategy, ServiceSwarms,
@@ -19,7 +20,8 @@ use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
 use bullet_repro::dissem_codec::file::fnv1a;
 use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::netsim::{
-    mbps, run_service, topology, ArrivalGen, RunReport, ServiceConfig, ServiceReport,
+    mbps, run_service, topology, ArrivalGen, ChangeSchedule, Network, NodeEvent, NodeId, Protocol,
+    RunReport, Runner, ServiceConfig, ServiceReport,
 };
 
 const NODES: usize = 10;
@@ -179,6 +181,74 @@ fn request_strategy_runs_match_pinned_digests() {
         assert_eq!(
             got, want,
             "{strategy:?} (None = original Bullet): digest {got:#018x} != pinned {want:#018x}"
+        );
+    }
+}
+
+/// FNV-1a digest of the canonical report of an 18-node BitTorrent or
+/// SplitStream run (256 blocks) on a 3%-loss mesh under the §4.1 bandwidth
+/// cuts. Node 5 crashes mid-download and node 11 crashes later (BitTorrent
+/// has finished it by then; SplitStream has not), so every survivor's
+/// `on_peer_failed` runs; the lossy, shrinking links keep BitTorrent's
+/// choke, unchoke and `Have` paths busy.
+fn baseline_digest(kind: SystemKind) -> u64 {
+    const N: usize = 18;
+    let rng = RngFactory::new(SEED);
+    let topo = topology::modelnet_mesh(N, 0.03, &rng);
+    let file = FileSpec::new(4 * 1024 * 1024, 16 * 1024);
+    let crashes = [
+        (SimTime::from_secs_f64(10.0), NodeEvent::Crash(NodeId(5))),
+        (SimTime::from_secs_f64(25.0), NodeEvent::Crash(NodeId(11))),
+    ];
+    let links = paper_dynamic_schedule(N, 600.0, &rng);
+    let report = match kind {
+        SystemKind::BitTorrent => {
+            let cfg = BitTorrentConfig::new(file);
+            let peers = (0..N as u32)
+                .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
+                .collect();
+            let mut runner = Runner::new(Network::new(topo), peers, &rng);
+            runner.exempt_from_completion(NodeId(0));
+            scheduled_run(&mut runner, &links, &crashes)
+        }
+        SystemKind::SplitStream => {
+            let mut runner = splitstream::build_runner(topo, file, &rng);
+            scheduled_run(&mut runner, &links, &crashes)
+        }
+        other => panic!("no baseline pin for {other:?}"),
+    };
+    fnv1a(report.canonical().as_bytes())
+}
+
+fn scheduled_run<P: Protocol>(
+    runner: &mut Runner<P>,
+    links: &ChangeSchedule,
+    nodes: &[(SimTime, NodeEvent)],
+) -> RunReport {
+    for (at, batch) in links {
+        runner.schedule_link_change(*at, batch.clone());
+    }
+    for &(at, event) in nodes {
+        runner.schedule_node_event(at, event);
+    }
+    runner.run(SimDuration::from_secs(600))
+}
+
+#[test]
+fn baseline_runs_match_pinned_digests() {
+    // Pinned values: any change to which pieces BitTorrent requests, how
+    // many RNG draws its choice consumes, or the order SplitStream pushes
+    // blocks to its children moves these digests. Such a change is a
+    // behaviour change and needs a deliberate re-baseline.
+    let pinned = [
+        (SystemKind::BitTorrent, 0x43ff_bc33_779a_5a3a),
+        (SystemKind::SplitStream, 0x2c6d_b260_2186_59c6),
+    ];
+    for (kind, want) in pinned {
+        let got = baseline_digest(kind);
+        assert_eq!(
+            got, want,
+            "{kind:?}: digest {got:#018x} != pinned {want:#018x}"
         );
     }
 }
